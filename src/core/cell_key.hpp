@@ -18,8 +18,8 @@
 // The encoding is append-only and versioned by construction: every field
 // serializes, in fixed declaration order, so equal keys render byte-equal
 // and hash() is stable across processes and platforms. Pre-CellKey
-// fingerprints differ byte-wise; each consumer keeps a one-release legacy
-// reader (see docs/CHECKPOINT.md and DESIGN.md's deprecation policy).
+// fingerprints differ byte-wise and are no longer read (DESIGN.md's
+// deprecation policy).
 //
 // The delay axis is a *label*, not a sampler: DelayModel is opaque, so the
 // key carries run::DelaySpec::label() strings ("unit", "uniform(0.2,3)",

@@ -11,7 +11,7 @@
 
 #include "core/plan.hpp"
 #include "sim/engine.hpp"
-#include "sim/macro_engine.hpp"
+#include "sim/macro_program.hpp"
 #include "sim/replay.hpp"
 
 namespace hcs::core {

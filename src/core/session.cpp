@@ -10,9 +10,7 @@
 #include "ckpt/store.hpp"
 #include "core/cell_key.hpp"
 #include "core/strategy_registry.hpp"
-#include "fault/fault_io.hpp"
 #include "obs/obs.hpp"
-#include "sim/macro_engine.hpp"
 #include "sim/shard.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
@@ -91,31 +89,6 @@ std::string run_fingerprint(std::string_view strategy, unsigned d,
   CellKey key = CellKey::from_options(strategy, d, opts);
   key.engine = macro ? sim::EngineKind::kMacro : sim::EngineKind::kEvent;
   return key.hash();
-}
-
-/// The pre-CellKey fingerprint encoding (engine field only ever "macro" /
-/// "event", same axis names otherwise but an ad-hoc document). Kept one
-/// release so snapshots written before the CellKey migration still
-/// restore; DESIGN.md's deprecation policy tracks the removal.
-std::string legacy_run_fingerprint(std::string_view strategy, unsigned d,
-                                   const sim::RunOptions& opts, bool macro) {
-  Json id = Json::object();
-  id.set("strategy", std::string(strategy));
-  id.set("dimension", std::uint64_t{d});
-  id.set("seed", opts.seed);
-  id.set("delay", opts.delay.is_unit() ? "unit" : "sampled");
-  id.set("policy", opts.policy == sim::WakePolicy::kFifo ? "fifo" : "random");
-  id.set("visibility", opts.visibility);
-  id.set("semantics",
-         opts.semantics == sim::MoveSemantics::kAtomicArrival
-             ? "atomic-arrival"
-             : "vacate-on-departure");
-  id.set("max_agent_steps", opts.max_agent_steps);
-  id.set("livelock_window", opts.livelock_window);
-  id.set("faults", fault::fault_spec_json(opts.faults));
-  id.set("recovery", fault::recovery_config_json(opts.recovery));
-  id.set("engine", macro ? "macro" : "event");
-  return fnv1a64_hex(id.dump());
 }
 
 }  // namespace
@@ -204,7 +177,7 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
   // violation.
   std::optional<sim::MacroProgram> program;
   if (engine_config.engine != sim::EngineKind::kEvent &&
-      sim::MacroEngine::eligible(engine_config) && !config_.setup) {
+      sim::macro_eligible(engine_config) && !config_.setup) {
     program = strategy.macro_program(d);
   }
   HCS_EXPECTS((program.has_value() ||
@@ -219,20 +192,15 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
                                   program.has_value());
     if (ckpt->loaded.has_value()) {
       // Accept the loaded snapshot only when it describes *this* run:
-      // right kind, matching fingerprint (current CellKey encoding, or
-      // the pre-CellKey legacy one for old snapshots), well-formed
-      // frontier.
+      // right kind, matching fingerprint, well-formed frontier.
       const Json* kind = ckpt->loaded->get("kind");
       const Json* fp = ckpt->loaded->get("fingerprint");
       const Json* step = ckpt->loaded->get("step");
       const Json* every = ckpt->loaded->get("every");
       const Json* state = ckpt->loaded->get("state");
-      const bool fp_matches =
-          fp != nullptr && fp->type() == Json::Type::kString &&
-          (fp->as_string() == fingerprint ||
-           fp->as_string() == legacy_run_fingerprint(strategy.name(), d,
-                                                     engine_config,
-                                                     program.has_value()));
+      const bool fp_matches = fp != nullptr &&
+                              fp->type() == Json::Type::kString &&
+                              fp->as_string() == fingerprint;
       const bool usable =
           kind != nullptr && kind->type() == Json::Type::kString &&
           kind->as_string() == "run" && fp_matches &&
@@ -255,10 +223,9 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
   bool net_all_clean = false;
   bool net_region_connected = false;
   if (program.has_value()) {
-    // The sharded wrapper resolves options.shards against the topology;
-    // shards == 1 (the default) delegates every call to the serial
-    // MacroEngine, and any value yields byte-identical results (the
-    // shard differential suite pins this).
+    // The macro executor resolves options.shards against the topology;
+    // any value yields byte-identical results (the shard differential
+    // suite pins this against the event engine).
     sim::ShardedMacroEngine engine(net, engine_config);
     run = engine.run(*program);
     metrics = engine.metrics();

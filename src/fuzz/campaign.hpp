@@ -43,10 +43,8 @@ struct CampaignAxes {
   /// macro-eligible draw. Off pins every cell to kEvent.
   bool engine_oracle = true;
   /// Draw the shard axis: cells that requested the macro executor also
-  /// draw a subcube shard count from {1, 2, 4, 8}, arming the sharded
-  /// replay leg of the engine oracle (sim::ShardedMacroEngine vs the
-  /// serial executors) on every macro-eligible draw. Off pins every cell
-  /// to the serial count of 1.
+  /// draw the subcube shard count their engine-oracle macro leg runs at,
+  /// from {1, 2, 4, 8}. Off pins every cell to the trivial partition.
   bool shard_oracle = true;
   /// Contract every generated cell is judged against. kAuto (the default)
   /// resolves per workload; pinning e.g. kCorrect while fault rates are
@@ -84,12 +82,6 @@ struct Artifact {
   /// Content-addressed file name: "art_<hash-of-cell>.json".
   [[nodiscard]] std::string file_name() const {
     return "art_" + cell.content_hash() + ".json";
-  }
-  /// The file name a pre-CellKey campaign gave this cell. Committed
-  /// corpora keep their legacy names (renaming would churn every
-  /// artifact); the runner dedups against both (one release, DESIGN.md).
-  [[nodiscard]] std::string legacy_file_name() const {
-    return "art_" + cell.legacy_content_hash() + ".json";
   }
 };
 

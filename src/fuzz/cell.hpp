@@ -18,9 +18,9 @@
 //    must produce a byte-identical trace and metrics -- the same pinning
 //    the PR-5 differential suite does, applied to arbitrary fuzzed cells;
 //  * optionally the engine oracle (spec.engine != kEvent): the strategy's
-//    compiled macro program runs on both executors -- sim::Engine driving
-//    ScheduleAgents and sim::MacroEngine -- and the traces, metrics, and
-//    run results must again be byte-identical.
+//    compiled macro program runs on sim::Engine driving ScheduleAgents and
+//    on sim::ShardedMacroEngine's bitplane fast path, and the metrics, run
+//    results and safety verdicts must again be identical.
 //
 // Failures come back as structured (kind, detail) records, so the
 // campaign layer can persist them and the delta-debugger can test "does
@@ -96,13 +96,10 @@ struct CellSpec {
   /// is omitted from the canonical JSON form at its kEvent default, so
   /// pre-engine-axis corpus hashes are unchanged.
   sim::EngineKind engine = sim::EngineKind::kEvent;
-  /// Subcube shard count for the sharded macro executor (sim/shard.hpp).
-  /// At its default 1 the sharded leg is skipped; otherwise the engine
-  /// oracle additionally replays the compiled program on
-  /// sim::ShardedMacroEngine (untraced -- tracing forces exact mode) and
-  /// compares metrics, run result and safety verdicts against the serial
-  /// executors. Omitted from the canonical JSON at the default, like
-  /// `engine`, so pre-shard-axis corpus hashes are unchanged.
+  /// Subcube shard count the engine oracle's macro leg runs at
+  /// (sim/shard.hpp; 1 is the trivial partition). Omitted from the
+  /// canonical JSON at the default, like `engine`, so pre-shard-axis
+  /// corpus hashes are unchanged.
   std::uint32_t shards = 1;
 
   /// The contract kAuto resolves to for this workload.
@@ -122,10 +119,6 @@ struct CellSpec {
   /// (16 hex digits) over {cell: key(), expect, differential} in canonical
   /// JSON.
   [[nodiscard]] std::string content_hash() const;
-  /// The pre-CellKey hash (FNV-1a 64 of canonical()). Kept one release so
-  /// existing corpora dedup correctly against legacy-named artifacts; see
-  /// DESIGN.md's deprecation policy.
-  [[nodiscard]] std::string legacy_content_hash() const;
 };
 
 [[nodiscard]] bool parse_cell_spec(const Json& json, CellSpec* out,

@@ -90,14 +90,17 @@ class Graph {
   /// True iff (u, v) is an edge (O(1) for hypercubes, linear in degree(u)
   /// otherwise). Inline for the same reason as neighbor_via: the
   /// visibility rule's status() contract checks it per neighbour per step.
+  /// On hypercubes an out-of-range endpoint is simply not an edge: a move
+  /// target read from a corrupted whiteboard can be any value, and the
+  /// engine's invalid-target guard crash-stops the agent on `false`.
   [[nodiscard]] bool has_edge(Vertex u, Vertex v) const {
     if (hc_dim_ != 0) {
-      HCS_EXPECTS(u < num_nodes() && v < num_nodes());
       // Power-of-two test spelled as ALU ops: std::has_single_bit lowers
       // to a libgcc __popcountdi2 call on baseline x86-64, and this check
       // runs per neighbour probe in the visibility rule.
       const Vertex diff = u ^ v;
-      return diff != 0 && (diff & (diff - 1)) == 0;
+      return ((u | v) >> hc_dim_) == 0 && diff != 0 &&
+             (diff & (diff - 1)) == 0;
     }
     return has_edge_generic(u, v);
   }

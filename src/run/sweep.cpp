@@ -150,13 +150,9 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
   std::string error;
   if (std::optional<ckpt::LoadedSnapshot> snap = store.load_latest(&error)) {
     // A snapshot of a *different* sweep (or a parse failure) starts the
-    // grid from scratch rather than poisoning it. Pre-CellKey snapshots
-    // carry the legacy spec fingerprint; accept those too (one release,
-    // see DESIGN.md).
+    // grid from scratch rather than poisoning it.
     if (!parse_sweep_snapshot(snap->doc, fingerprint, result.cells.size(),
-                              &done, &error) &&
-        !parse_sweep_snapshot(snap->doc, legacy_sweep_spec_fingerprint(spec),
-                              result.cells.size(), &done, &error)) {
+                              &done, &error)) {
       done.clear();
     }
   }

@@ -38,11 +38,6 @@ namespace hcs::run {
 /// (or cell count) belong to a different grid and are ignored on resume.
 [[nodiscard]] std::string sweep_spec_fingerprint(const SweepSpec& spec);
 
-/// The pre-CellKey spec fingerprint (per-axis arrays instead of per-cell
-/// keys). Kept one release so sweep snapshots written before the CellKey
-/// migration still resume; see DESIGN.md's deprecation policy.
-[[nodiscard]] std::string legacy_sweep_spec_fingerprint(const SweepSpec& spec);
-
 /// The snapshot document: {"kind":"sweep","version":1,"fingerprint":...,
 /// "cells":N,"done":[{"index":i,"outcome":{...}},...]} with `done` in
 /// ascending index order.

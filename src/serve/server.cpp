@@ -78,13 +78,15 @@ bool Server::start(std::string* error) {
     port_ = ntohs(bound.sin_port);
   }
 
-  acceptor_ = std::thread([this] { accept_loop(); });
+  // The acceptor gets the descriptor by value: stop() owns listen_fd_ and
+  // only closes and resets it after this thread has been joined.
+  acceptor_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   return true;
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) break;
       if (errno == EINTR) continue;
@@ -146,7 +148,6 @@ void Server::serve_connection(int fd) {
 
 void Server::close_listener() {
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -158,8 +159,11 @@ void Server::stop() {
     return;
   }
 
-  close_listener();  // unblocks accept()
+  // shutdown() unblocks accept() without releasing the descriptor, so its
+  // number cannot be reused under the acceptor; close once it is joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
+  close_listener();
 
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);

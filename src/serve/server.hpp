@@ -62,7 +62,7 @@ class Server {
   [[nodiscard]] Service& service() { return *service_; }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void serve_connection(int fd);
   void close_listener();
 

@@ -25,12 +25,12 @@ namespace hcs::sim {
 /// kRandom explores adversarial interleavings.
 enum class WakePolicy : std::uint8_t { kFifo, kRandom };
 
-/// Which executor runs a strategy (harness-level; see sim/macro_engine.hpp
+/// Which executor runs a strategy (harness-level; see sim/shard.hpp
 /// and hcs::Session):
 ///  * kEvent -- the discrete-event Engine stepping the distributed
 ///    protocol agent-by-agent (the default, and the reference semantics);
-///  * kMacro -- the macro-step engine executing the strategy's compiled
-///    MacroProgram over packed bitplanes; requires a macro-capable
+///  * kMacro -- the macro executor (sim::ShardedMacroEngine) replaying the
+///    strategy's compiled MacroProgram; requires a macro-capable
 ///    strategy, the FIFO wake policy and the unit delay model;
 ///  * kAuto -- kMacro whenever the run is eligible, kEvent otherwise.
 enum class EngineKind : std::uint8_t { kEvent, kMacro, kAuto };
@@ -87,8 +87,8 @@ struct RunOptions {
   /// file must always leave a good predecessor).
   std::uint32_t checkpoint_keep = 3;
   /// Subcube shards for the macro executor's parallel fast path
-  /// (sim/shard.hpp): 1 = the serial macro engine (the historical
-  /// behaviour), 0 = auto (min(hardware threads, 2^(d-10))), N = round
+  /// (sim/shard.hpp): 1 = one shard (the trivial partition, the
+  /// historical default), 0 = auto (min(hardware threads, 2^(d-10))), N = round
   /// down to a power of two. Purely an execution detail -- results are
   /// byte-identical at any value and it never enters hcs::CellKey, ckpt
   /// fingerprints or the hcsd cache key. The event engine ignores it.

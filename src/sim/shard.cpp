@@ -118,25 +118,24 @@ bool ShardedMacroEngine::Calendar::next(std::uint32_t* time,
 
 ShardedMacroEngine::ShardedMacroEngine(Network& net, RunOptions cfg)
     : net_(&net),
-      cfg_(cfg),
-      inner_(net, cfg),
-      plan_(ShardPlan::resolve(cfg.shards, net.graph().hypercube_dim())) {}
+      cfg_(std::move(cfg)),
+      plan_(ShardPlan::resolve(cfg_.shards, net.graph().hypercube_dim())) {
+  HCS_EXPECTS(macro_eligible(cfg_) &&
+              "macro execution requires the FIFO wake policy and the unit "
+              "delay model");
+}
 
 const Metrics& ShardedMacroEngine::metrics() const {
-  return sharded_completed_ ? fast_metrics_ : inner_.metrics();
+  return fast_completed_ ? fast_metrics_ : net_->metrics();
 }
 
 bool ShardedMacroEngine::all_clean() const {
-  return sharded_completed_ ? contaminated_.none() : inner_.all_clean();
+  return fast_completed_ ? contaminated_.none() : net_->all_clean();
 }
 
 bool ShardedMacroEngine::clean_region_connected() const {
-  return sharded_completed_ ? fast_region_connected()
-                            : inner_.clean_region_connected();
-}
-
-bool ShardedMacroEngine::used_fast_path() const {
-  return sharded_completed_ || inner_.used_fast_path();
+  return fast_completed_ ? fast_region_connected()
+                         : net_->clean_region_connected();
 }
 
 void ShardedMacroEngine::parallel_shards(
@@ -176,40 +175,45 @@ void ShardedMacroEngine::parallel_shards(
 
 ShardedMacroEngine::RunResult ShardedMacroEngine::run(
     const MacroProgram& program) {
-  // Same coverage rule as the serial fast path -- anything that must
-  // observe intermediate state or perturb the schedule runs exact -- plus
-  // the subcube partition itself, which needs the hypercube word layout.
+  obs::ScopedSink obs_sink(cfg_.obs);
+  obs::Span run_span(cfg_.obs, "macro.run");
+
+  // The fast path covers the default measurement configuration on the
+  // hypercube word layout; anything that must observe intermediate state
+  // (tracing), perturb the schedule (faults) or change the hand-over (the
+  // vacate ablation) runs on the event engine, as does a bail.
   const bool fast_ok =
-      plan_.shards > 1 && !net_->trace().enabled() && cfg_.faults.empty() &&
-      net_->move_semantics() == MoveSemantics::kAtomicArrival &&
-      net_->graph().hypercube_dim() >= 7;
-  if (fast_ok) {
-    obs::ScopedSink obs_sink(cfg_.obs);
-    obs::Span run_span(cfg_.obs, "macro.run");
-    RunResult result;
-    if (run_fast_sharded(program, &result)) {
-      if (cfg_.obs != nullptr) {
-        cfg_.obs->counter_add("macro.events", fast_metrics_.events_processed);
-        cfg_.obs->counter_add("macro.steps", fast_metrics_.agent_steps);
-        cfg_.obs->counter_add("macro.fast_runs");
-        cfg_.obs->counter_add("macro.sharded_runs");
-      }
-      return result;
+      net_->graph().hypercube_dim() != 0 && !net_->trace().enabled() &&
+      cfg_.faults.empty() &&
+      net_->move_semantics() == MoveSemantics::kAtomicArrival;
+  RunResult result;
+  if (fast_ok && run_fast(program, &result)) {
+    if (cfg_.obs != nullptr) {
+      cfg_.obs->counter_add("macro.events", fast_metrics_.events_processed);
+      cfg_.obs->counter_add("macro.steps", fast_metrics_.agent_steps);
+      cfg_.obs->counter_add("macro.fast_runs");
+      if (plan_.shards > 1) cfg_.obs->counter_add("macro.sharded_runs");
     }
+    return result;
   }
-  return inner_.run(program);
+  if (fast_ok && cfg_.obs != nullptr) cfg_.obs->counter_add("macro.fast_bails");
+  Engine engine(*net_, cfg_);
+  spawn_macro_team(engine, program);
+  result = engine.run();
+  if (cfg_.obs != nullptr) cfg_.obs->counter_add("macro.event_runs");
+  return result;
 }
 
-bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
-                                          RunResult* result) {
+bool ShardedMacroEngine::run_fast(const MacroProgram& prog,
+                                  RunResult* result) {
   const std::size_t n = net_->num_nodes();
   const std::size_t m = prog.num_agents();
   const unsigned hc_dim = net_->graph().hypercube_dim();
   const unsigned shards = plan_.shards;
-  const std::size_t words = n / 64;
 
-  // Mirror the serial fast path's abort-guard screen: step caps and
-  // livelock windows cannot be reproduced after the fact.
+  // Abort-guard interactions (step caps, livelock windows) cannot be
+  // reproduced after the fact; leave any run that could plausibly trip
+  // them to the event engine, which aborts exactly as it always does.
   const std::uint64_t step_bound = 2 * prog.steps.size() + 2 * m;
   if (step_bound >= cfg_.max_agent_steps || m >= cfg_.livelock_window) {
     return false;
@@ -219,11 +223,15 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   guarded_ = Bitplane(n);
   contaminated_ = Bitplane(n, true);
   visited_ = Bitplane(n);
-  cleaned_tick_ = Bitplane(n);
   fast_metrics_ = Metrics{};
   counts_.assign(n, 0);
-  clean_stamp_.assign(n, 0);
-  scratch_.assign(shards, ShardScratch{});
+  // Below d = 6 the plane is one partial word, not n / 64 of them.
+  const std::size_t words = contaminated_.num_words();
+  if (shards > 1) {
+    cleaned_tick_ = Bitplane(n);
+    clean_stamp_.assign(n, 0);
+    scratch_.assign(shards, ShardScratch{});
+  }
 
   const graph::Vertex home = prog.homebase;
   for (std::size_t i = 0; i < m; ++i) {
@@ -238,7 +246,11 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
     --contam_count;
   }
 
-  Calendar cal(4096);
+  // A 4096-tick window covers every near-future push of the big sweeps;
+  // short programs get a window just past their horizon instead, so a
+  // small cube does not pay for thousands of empty slots.
+  Calendar cal(std::bit_ceil(
+      std::min<std::size_t>(4096, std::size_t{prog.horizon} + 2)));
   std::uint64_t events = 0;
   std::uint64_t steps = 0;
   SimTime end_time = kTimeZero;
@@ -271,7 +283,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
     cal.push(time, a);
   };
 
-  // Spawn steps, in agent order like the exact loop's first dispatch.
+  // Spawn steps, in agent order like the event engine's first dispatch.
   for (std::size_t i = 0; i < m; ++i) {
     ++steps;
     step_fast(static_cast<AgentId>(i), 0, cal_push);
@@ -280,8 +292,10 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   // Ticks below this stay on the fused serial loop: the phase split pays
   // off once a bucket spans the plane (cache-blocked node passes) and
   // feeds every shard (the CLEAN token walk averages ~1 event per tick).
+  // The trivial partition never splits.
   const std::size_t phase_threshold =
-      std::max<std::size_t>(words, std::size_t{64} * shards);
+      shards == 1 ? ~std::size_t{0}
+                  : std::max<std::size_t>(words, std::size_t{64} * shards);
   const unsigned node_shift = plan_.node_shift;
   const std::size_t wps = plan_.words_per_shard;
 
@@ -294,8 +308,11 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
     end_time = static_cast<SimTime>(t);
 
     if (b < phase_threshold) {
-      // Fused serial tick: identical statement order to
-      // MacroEngine::run_fast, including the frontier rule.
+      // Fused serial tick. For big level sweeps one O(d * words)
+      // neighbour union (the has-a-contaminated-neighbour plane) certifies
+      // most releases wholesale -- contamination only shrinks inside a
+      // fault-free tick, so a node with no contaminated neighbour at tick
+      // start has none now; only frontier nodes need the per-move probe.
       const Bitplane* frontier = nullptr;
       if (b >= words) {
         neighbor_union(contaminated_, hc_dim, &frontier_);
@@ -323,7 +340,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
               if (frontier == nullptr || frontier->test(from)) {
                 for (unsigned j = 0; j < hc_dim; ++j) {
                   if (contaminated_.test(from ^ (graph::Vertex{1} << j))) {
-                    return false;  // exposed: bail to exact mode
+                    return false;  // exposed: bail to the event engine
                   }
                 }
               }
@@ -466,7 +483,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
         }
       });
       for (unsigned s = 0; s < shards; ++s) {
-        if (scratch_[s].exposed) return false;  // bail to exact mode
+        if (scratch_[s].exposed) return false;  // bail to the event engine
       }
     }
   }
@@ -488,12 +505,12 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   result->terminated = m;
   result->end_time = end_time;
   result->capture_time = capture_time;
-  sharded_completed_ = true;
+  fast_completed_ = true;
   return true;
 }
 
 bool ShardedMacroEngine::fast_region_connected() const {
-  HCS_ASSERT(sharded_completed_);
+  HCS_ASSERT(fast_completed_);
   const std::size_t n = contaminated_.size();
   Bitplane region(n, true);
   region.and_not(contaminated_);

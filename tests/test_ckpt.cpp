@@ -609,57 +609,4 @@ TEST(CkptFuzz, MissingEverythingIsADiagnosticNotAnAbort) {
   EXPECT_FALSE(error.empty());
 }
 
-// --- committed pre-migration (legacy) artifacts ----------------------
-//
-// Run identity moved from per-subsystem ad-hoc fingerprints to
-// hcs::CellKey (core/cell_key.hpp); the readers accept the pre-migration
-// spellings for one release (DESIGN.md, "Deprecation policy"). These
-// fixtures were generated by the pre-CellKey tree and are committed under
-// tests/data/legacy -- regenerating them with today's code would defeat
-// the point of the test.
-
-std::string legacy_copy(const char* which, const std::string& name) {
-  const std::string dir = fresh_dir(name);
-  fs::copy(std::string(HCS_LEGACY_DATA_DIR) + "/" + which, dir,
-           fs::copy_options::recursive);
-  return dir;
-}
-
-TEST(CkptLegacy, PreCellKeyRunSnapshotStillRestores) {
-  const std::string dir = legacy_copy("run", "legacy_run");
-  hcs::SessionConfig config;
-  config.dimension = 6;
-  config.options.checkpoint_dir = dir;
-  hcs::Session session(config);
-  hcs::Session::RestoreReport report;
-  const hcs::core::SimOutcome restored = session.restore("CLEAN", &report);
-  EXPECT_TRUE(report.had_snapshot);
-  EXPECT_FALSE(report.fingerprint_mismatch);
-  EXPECT_TRUE(report.verified);
-  EXPECT_GT(report.from_step, 0u);
-
-  hcs::SessionConfig plain_config;
-  plain_config.dimension = 6;
-  const hcs::core::SimOutcome plain =
-      hcs::Session(plain_config).run("CLEAN");
-  EXPECT_EQ(hcs::ckpt::outcome_json(restored).dump(),
-            hcs::ckpt::outcome_json(plain).dump());
-}
-
-TEST(CkptLegacy, PreCellKeySweepSnapshotStillResumes) {
-  const std::string dir = legacy_copy("sweep", "legacy_sweep");
-  hcs::run::SweepSpec spec;
-  spec.strategies = {"CLEAN", "CLONING"};
-  spec.dimensions = {3, 4};
-  spec.seeds = {1, 2};
-
-  hcs::run::SweepRunner::Config config;
-  config.checkpoint_dir = dir;
-  const hcs::run::SweepResult resumed =
-      hcs::run::SweepRunner(config).run(spec);
-  EXPECT_EQ(resumed.resumed_cells, 3u);  // generator committed cells 0,2,5
-  EXPECT_EQ(hcs::run::sweep_json(resumed),
-            hcs::run::sweep_json(hcs::run::SweepRunner().run(spec)));
-}
-
 }  // namespace

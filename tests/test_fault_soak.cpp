@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
@@ -131,12 +132,20 @@ TEST(FaultSoak, CampaignSoakPersistsFailuresAsArtifacts) {
   manifest.campaign_seed = fresh_seed();
   manifest.axes.max_dimension = 5;  // tier-1 budget; the nightly goes wider
   const std::uint64_t seed = manifest.campaign_seed;
+  // Printed (and flushed) before the campaign runs: a contract abort in a
+  // cell takes the process down, and the seed is the only way back to it.
+  const int iterations = soak_iters() * 4;
+  std::fprintf(stderr,
+               "soak campaign seed %llu (reproduce: hcs_fuzz run --seed %llu "
+               "--iterations %d --max-dim 5)\n",
+               static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(seed), iterations);
+  std::fflush(stderr);
 
   fuzz::CampaignConfig config;
   config.corpus_dir = corpus_dir;
-  const fuzz::CampaignOutcome outcome =
-      fuzz::CampaignRunner(config).run(
-          std::move(manifest), static_cast<std::uint64_t>(soak_iters()) * 4);
+  const fuzz::CampaignOutcome outcome = fuzz::CampaignRunner(config).run(
+      std::move(manifest), static_cast<std::uint64_t>(iterations));
 
   EXPECT_EQ(outcome.failures_found, 0u)
       << "campaign seed " << seed << " left " << outcome.artifacts_written

@@ -354,38 +354,5 @@ TEST(FuzzArtifact, ReplaysByteIdentically) {
   EXPECT_EQ(run_cell(loaded.cell).signature(), artifact.signature);
 }
 
-// Artifact hashes moved from the full canonical spec to the CellKey-based
-// identity (CellSpec::content_hash vs legacy_content_hash); campaigns
-// must keep deduplicating against corpora written under the old names for
-// one release. The fixture under tests/data/legacy/fuzz-corpus was
-// generated by the pre-CellKey tree (campaign_seed 7, dims 3-4,
-// expect=correct, 16 iterations, minimization off).
-TEST(FuzzCampaign, LegacyCorpusReplaysWithoutRewritingArtifacts) {
-  const fs::path dir = fresh_dir("hcs_fuzz_legacy_corpus");
-  fs::copy(std::string(HCS_LEGACY_DATA_DIR) + "/fuzz-corpus", dir,
-           fs::copy_options::recursive);
-
-  Manifest manifest;
-  std::string error;
-  ASSERT_TRUE(load_campaign_state(dir.string(), &manifest, &error)) << error;
-  const std::size_t corpus_before = manifest.corpus.size();
-  ASSERT_GT(corpus_before, 0u);
-  ASSERT_EQ(manifest.iterations_done, 16u);
-
-  // Re-run the same 16 iterations: generation is deterministic, so every
-  // failure re-derives -- and must dedup against the legacy-named
-  // artifacts instead of writing CellKey-named twins.
-  manifest.iterations_done = 0;
-  CampaignConfig config;
-  config.corpus_dir = dir.string();
-  config.threads = 2;
-  config.minimize_failures = false;
-  const CampaignOutcome replayed =
-      CampaignRunner(config).run(std::move(manifest), 16);
-  EXPECT_GT(replayed.failures_found, 0u);
-  EXPECT_EQ(replayed.artifacts_written, 0u);
-  EXPECT_EQ(replayed.manifest.corpus.size(), corpus_before);
-}
-
 }  // namespace
 }  // namespace hcs::fuzz

@@ -57,14 +57,8 @@ TEST(FuzzCorpus, EveryArtifactReplaysByteIdentically) {
     std::string error;
     ASSERT_TRUE(load_artifact(path.string(), &artifact, &error)) << error;
 
-    // Content addressing: the file carries the hash of its own cell --
-    // either the current CellKey-based hash or, for artifacts committed
-    // before the CellKey migration, the legacy canonical-form hash.
-    const std::string name = path.filename().string();
-    EXPECT_TRUE(name == artifact.file_name() ||
-                name == artifact.legacy_file_name())
-        << "expected " << artifact.file_name() << " or "
-        << artifact.legacy_file_name();
+    // Content addressing: the file carries the hash of its own cell.
+    EXPECT_EQ(path.filename().string(), artifact.file_name());
     // Byte-stable serialization: parse(dump) is the identity on disk.
     EXPECT_EQ(artifact.to_json().dump(), read_file(path));
 

@@ -1,11 +1,12 @@
-// sim::MacroEngine differential suite: executing a strategy's compiled
-// MacroProgram natively must be indistinguishable from executing it
-// through the discrete-event Engine (spawn_macro_team's ScheduleAgents).
+// Macro differential suite: executing a strategy's compiled MacroProgram
+// on the macro executor (sim::ShardedMacroEngine, one shard) must be
+// indistinguishable from executing it through the discrete-event Engine
+// (spawn_macro_team's ScheduleAgents).
 //
-//  * exact mode (tracing on, and/or faults, and/or vacate-on-departure):
-//    identical Metrics, identical trace event sequences, identical
-//    RunResults -- byte-for-byte, including crash/recovery behaviour;
-//  * fast mode (tracing off, fault-free, atomic arrival): identical
+//  * traced runs, faults, vacate-on-departure: the executor takes its
+//    event-engine path -- identical Metrics, identical trace event
+//    sequences, identical RunResults, including crash/recovery behaviour;
+//  * the fast path (tracing off, fault-free, atomic arrival): identical
 //    Metrics and RunResults answered from the bitplane state, with the
 //    safety verdicts (all_clean / clean_region_connected) agreeing with
 //    the Network's bookkeeping.
@@ -27,10 +28,11 @@
 #include "fault/fault.hpp"
 #include "graph/builders.hpp"
 #include "sim/engine.hpp"
-#include "sim/macro_engine.hpp"
+#include "sim/macro_program.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/options.hpp"
+#include "sim/shard.hpp"
 #include "sim/trace.hpp"
 
 namespace hcs {
@@ -77,7 +79,7 @@ CapturedRun run_macro(const sim::MacroProgram& prog, const graph::Graph& g,
   sim::Network net(g, 0);
   net.set_move_semantics(semantics);
   net.trace().enable(trace);
-  sim::MacroEngine engine(net, macro_run_options(trace, fault_rate));
+  sim::ShardedMacroEngine engine(net, macro_run_options(trace, fault_rate));
   CapturedRun run;
   run.result = engine.run(prog);
   run.metrics = engine.metrics();
@@ -180,7 +182,7 @@ void run_macro_differential(sim::MoveSemantics semantics, bool trace,
 }
 
 // =================================================================
-// Exact mode: trace on -> full byte-for-byte trace comparison.
+// Event-engine path: trace on -> full byte-for-byte trace comparison.
 
 TEST(MacroDifferential, ExactAtomicArrival) {
   run_macro_differential(sim::MoveSemantics::kAtomicArrival, /*trace=*/true,
@@ -203,8 +205,8 @@ TEST(MacroDifferential, ExactUnderCrashFaultsVacate) {
 }
 
 // Wider dimensions, tracing off (trace buffers at d = 10 dominate the
-// runtime otherwise): fault-free exact mode under vacate semantics plus
-// the fast path under atomic arrival.
+// runtime otherwise): the fault-free event-engine path under vacate
+// semantics plus the fast path under atomic arrival.
 
 TEST(MacroDifferential, WideDimensionsAtomic) {
   run_macro_differential(sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
@@ -222,7 +224,7 @@ TEST(MacroDifferential, WideDimensionsUnderCrashFaults) {
 }
 
 // =================================================================
-// Fast mode: trace off + fault-free + atomic arrival -> bitplane path.
+// Fast path: trace off + fault-free + atomic arrival -> bitplanes.
 
 TEST(MacroDifferential, FastPathMatchesEventEngine) {
   run_macro_differential(sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
@@ -230,9 +232,11 @@ TEST(MacroDifferential, FastPathMatchesEventEngine) {
 }
 
 TEST(MacroEngine, FastPathEngagesForMonotoneSchedules) {
-  // The two singleton-round planners are per-move monotone, so fast mode
-  // must complete without bailing to exact mode (this is the path the
-  // H_16+ throughput numbers rest on).
+  // The singleton-round planners are per-move monotone, so on the
+  // hypercube the fast path must complete without bailing to the event
+  // engine (this is the path the H_16+ throughput numbers rest on).
+  // TREE-SWEEP searches the broadcast tree, which has no hypercube word
+  // layout, so it always runs on the event engine.
   const auto& registry = core::StrategyRegistry::instance();
   for (const char* name : {"NAIVE-LEVEL-SWEEP", "TREE-SWEEP", "CLEAN"}) {
     const core::Strategy& strategy = registry.get(name);
@@ -242,7 +246,8 @@ TEST(MacroEngine, FastPathEngagesForMonotoneSchedules) {
     const graph::Graph g = strategy.build_graph(6);
     run_macro(*prog, g, sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
               /*fault_rate=*/0.0, &used_fast);
-    EXPECT_TRUE(used_fast) << name;
+    EXPECT_EQ(used_fast, g.is_hypercube()) << name;
+    EXPECT_EQ(used_fast, std::string(name) != "TREE-SWEEP") << name;
   }
 }
 
@@ -286,15 +291,15 @@ TEST(MacroProgram, RolesDefaultToAgent) {
 
 TEST(MacroEngine, EligibilityRequiresFifoAndUnitDelay) {
   sim::RunOptions cfg;
-  EXPECT_TRUE(sim::MacroEngine::eligible(cfg));
+  EXPECT_TRUE(sim::macro_eligible(cfg));
   cfg.policy = sim::WakePolicy::kRandom;
-  EXPECT_FALSE(sim::MacroEngine::eligible(cfg));
+  EXPECT_FALSE(sim::macro_eligible(cfg));
   cfg.policy = sim::WakePolicy::kFifo;
   cfg.delay = sim::DelayModel::uniform(0.5, 1.5);
-  EXPECT_FALSE(sim::MacroEngine::eligible(cfg));
+  EXPECT_FALSE(sim::macro_eligible(cfg));
   cfg.delay = sim::DelayModel::unit();
-  cfg.trace = true;  // tracing forces exact mode but not ineligibility
-  EXPECT_TRUE(sim::MacroEngine::eligible(cfg));
+  cfg.trace = true;  // tracing takes the event path but stays eligible
+  EXPECT_TRUE(sim::macro_eligible(cfg));
 }
 
 TEST(Session, EngineAxisResolvesMacroAndFallsBack) {

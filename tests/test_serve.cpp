@@ -428,5 +428,29 @@ TEST(ServerTcp, ServesRunsAndSurvivesGarbageThenShutsDown) {
   EXPECT_EQ(stats.errors, 1u);
 }
 
+TEST(ServerTcp, StartStopCyclesShutDownCleanly) {
+  // stop() racing the acceptor's accept(): an immediate stop, a stop with
+  // a live idle connection, and a stop racing a protocol-level shutdown.
+  // The listener descriptor must stay valid until the acceptor is joined
+  // (the thread sanitizer matrix runs this case).
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    Server server(ServerConfig{});
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    Client client;
+    std::string reply;
+    if (cycle % 3 != 0) {
+      ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
+      ASSERT_TRUE(client.request(R"({"id":1,"op":"ping"})", &reply));
+      EXPECT_NE(reply.find("\"pong\":true"), std::string::npos);
+    }
+    if (cycle % 3 == 2) {
+      ASSERT_TRUE(client.request(R"({"id":2,"op":"shutdown"})", &reply));
+    }
+    server.stop();
+    server.wait();
+  }
+}
+
 }  // namespace
 }  // namespace hcs

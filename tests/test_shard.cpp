@@ -2,11 +2,14 @@
 //
 // The shard axis is an execution detail: for every shard count the engine
 // must produce byte-identical Metrics, RunResults, safety verdicts and
-// (where applicable) traces to the serial MacroEngine, which remains the
-// reference implementation. The suite pins that contract across the
-// strategy registry, both hand-over semantics, crash-fault workloads
-// (which delegate to exact mode) and the run-identity surfaces that must
-// never see the knob: hcs::CellKey and checkpoint fingerprints.
+// (where applicable) traces to the event-engine oracle -- the same
+// program run by sim::Engine driving spawn_macro_team's ScheduleAgents,
+// which shares no code with the bitplane fast path. The suite pins that
+// contract across the strategy registry, both hand-over semantics,
+// crash-fault workloads (which run on the event engine) and the
+// run-identity surfaces that must never see the knob: hcs::CellKey and
+// checkpoint fingerprints. Above the event engine's reach, H_16 runs are
+// checked against the paper's closed forms (core/formulas) instead.
 //
 // The concurrency tests double as the TSan subjects (`ctest -L shard`
 // under the sanitizer matrix): they drive the barrier-phased path with
@@ -21,11 +24,13 @@
 #include <vector>
 
 #include "core/cell_key.hpp"
+#include "core/formulas.hpp"
 #include "core/session.hpp"
 #include "core/strategy_registry.hpp"
 #include "fault/fault.hpp"
 #include "graph/builders.hpp"
-#include "sim/macro_engine.hpp"
+#include "sim/engine.hpp"
+#include "sim/macro_program.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/options.hpp"
@@ -41,6 +46,7 @@ struct CapturedRun {
   sim::Engine::RunResult result;
   bool all_clean = false;
   bool clean_region_connected = false;
+  bool used_fast = false;
   bool used_sharded = false;
   unsigned resolved_shards = 1;
 };
@@ -56,19 +62,21 @@ sim::RunOptions shard_run_options(std::uint32_t shards, bool trace,
   return cfg;
 }
 
-CapturedRun run_serial(const sim::MacroProgram& prog, const graph::Graph& g,
-                       sim::MoveSemantics semantics, bool trace,
-                       double fault_rate) {
+CapturedRun run_event_oracle(const sim::MacroProgram& prog,
+                             const graph::Graph& g,
+                             sim::MoveSemantics semantics, bool trace,
+                             double fault_rate) {
   sim::Network net(g, 0);
   net.set_move_semantics(semantics);
   net.trace().enable(trace);
-  sim::MacroEngine engine(net, shard_run_options(1, trace, fault_rate));
+  sim::Engine engine(net, shard_run_options(1, trace, fault_rate));
+  sim::spawn_macro_team(engine, prog);
   CapturedRun run;
-  run.result = engine.run(prog);
-  run.metrics = engine.metrics();
+  run.result = engine.run();
+  run.metrics = net.metrics();
   run.events = net.trace().events();
-  run.all_clean = engine.all_clean();
-  run.clean_region_connected = engine.clean_region_connected();
+  run.all_clean = net.all_clean();
+  run.clean_region_connected = net.clean_region_connected();
   return run;
 }
 
@@ -86,15 +94,16 @@ CapturedRun run_sharded(const sim::MacroProgram& prog, const graph::Graph& g,
   run.events = net.trace().events();
   run.all_clean = engine.all_clean();
   run.clean_region_connected = engine.clean_region_connected();
+  run.used_fast = engine.used_fast_path();
   run.used_sharded = engine.used_sharded_path();
   run.resolved_shards = engine.plan().shards;
   return run;
 }
 
-void expect_identical(const CapturedRun& sharded, const CapturedRun& serial,
+void expect_identical(const CapturedRun& sharded, const CapturedRun& oracle,
                       const std::string& label) {
   const sim::Metrics& a = sharded.metrics;
-  const sim::Metrics& b = serial.metrics;
+  const sim::Metrics& b = oracle.metrics;
   EXPECT_EQ(a.agents_spawned, b.agents_spawned) << label;
   EXPECT_EQ(a.total_moves, b.total_moves) << label;
   EXPECT_EQ(a.moves_by_role, b.moves_by_role) << label;
@@ -106,7 +115,7 @@ void expect_identical(const CapturedRun& sharded, const CapturedRun& serial,
   EXPECT_EQ(a.agent_steps, b.agent_steps) << label;
 
   const sim::Engine::RunResult& x = sharded.result;
-  const sim::Engine::RunResult& y = serial.result;
+  const sim::Engine::RunResult& y = oracle.result;
   EXPECT_EQ(x.all_terminated, y.all_terminated) << label;
   EXPECT_EQ(x.abort_reason, y.abort_reason) << label;
   EXPECT_EQ(x.terminated, y.terminated) << label;
@@ -118,14 +127,14 @@ void expect_identical(const CapturedRun& sharded, const CapturedRun& serial,
   EXPECT_EQ(x.degradation.faults_recovered, y.degradation.faults_recovered)
       << label;
 
-  EXPECT_EQ(sharded.all_clean, serial.all_clean) << label;
-  EXPECT_EQ(sharded.clean_region_connected, serial.clean_region_connected)
+  EXPECT_EQ(sharded.all_clean, oracle.all_clean) << label;
+  EXPECT_EQ(sharded.clean_region_connected, oracle.clean_region_connected)
       << label;
 
-  ASSERT_EQ(sharded.events.size(), serial.events.size()) << label;
+  ASSERT_EQ(sharded.events.size(), oracle.events.size()) << label;
   for (std::size_t i = 0; i < sharded.events.size(); ++i) {
     const sim::TraceEvent& e = sharded.events[i];
-    const sim::TraceEvent& f = serial.events[i];
+    const sim::TraceEvent& f = oracle.events[i];
     ASSERT_TRUE(e.time == f.time && e.kind == f.kind && e.agent == f.agent &&
                 e.node == f.node && e.other == f.other && e.detail == f.detail)
         << label << ": trace diverges at event " << i;
@@ -145,8 +154,8 @@ void run_shard_differential(sim::MoveSemantics semantics, bool trace,
       if (!prog.has_value()) continue;
       any = true;
       const graph::Graph g = strategy.build_graph(d);
-      const CapturedRun serial =
-          run_serial(*prog, g, semantics, trace, fault_rate);
+      const CapturedRun oracle =
+          run_event_oracle(*prog, g, semantics, trace, fault_rate);
       for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
         const std::string label =
             name + " d=" + std::to_string(d) + " shards=" +
@@ -156,7 +165,7 @@ void run_shard_differential(sim::MoveSemantics semantics, bool trace,
             (trace ? " trace" : " fast") + (fault_rate > 0 ? " faults" : "");
         const CapturedRun sharded =
             run_sharded(*prog, g, semantics, shards, trace, fault_rate);
-        expect_identical(sharded, serial, label);
+        expect_identical(sharded, oracle, label);
         if (any_sharded != nullptr && sharded.used_sharded) {
           *any_sharded = true;
         }
@@ -206,7 +215,7 @@ TEST(ShardPlan, AutoScalesWithDimensionAndThreads) {
 }
 
 // =================================================================
-// Shard-count differential: every count must match the serial engine.
+// Shard-count differential: every count must match the event engine.
 
 TEST(ShardDifferential, FastPathAtomicArrival) {
   bool any_sharded = false;
@@ -217,7 +226,7 @@ TEST(ShardDifferential, FastPathAtomicArrival) {
   EXPECT_TRUE(any_sharded);
 }
 
-TEST(ShardDifferential, VacateOnDepartureDelegatesExactly) {
+TEST(ShardDifferential, VacateOnDepartureRunsOnEventEngine) {
   run_shard_differential(sim::MoveSemantics::kVacateOnDeparture,
                          /*trace=*/false, /*fault_rate=*/0.0, 4, 9);
 }
@@ -227,7 +236,7 @@ TEST(ShardDifferential, TracedRunsStayByteIdentical) {
                          /*fault_rate=*/0.0, 4, 8);
 }
 
-TEST(ShardDifferential, CrashFaultsDelegateExactly) {
+TEST(ShardDifferential, CrashFaultsRunOnEventEngine) {
   run_shard_differential(sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
                          /*fault_rate=*/0.02, 4, 9);
 }
@@ -242,15 +251,17 @@ TEST(ShardDifferential, WideDimensions) {
       const std::optional<sim::MacroProgram> prog = strategy.macro_program(d);
       ASSERT_TRUE(prog.has_value()) << name;
       const graph::Graph g = strategy.build_graph(d);
-      const CapturedRun serial = run_serial(
+      const CapturedRun oracle = run_event_oracle(
           *prog, g, sim::MoveSemantics::kAtomicArrival, false, 0.0);
-      for (std::uint32_t shards : {2u, 8u}) {
+      for (std::uint32_t shards : {1u, 2u, 8u}) {
         const CapturedRun sharded =
             run_sharded(*prog, g, sim::MoveSemantics::kAtomicArrival, shards,
                         false, 0.0);
-        EXPECT_TRUE(sharded.used_sharded)
+        EXPECT_TRUE(sharded.used_fast)
             << name << " d=" << d << " shards=" << shards;
-        expect_identical(sharded, serial,
+        EXPECT_EQ(sharded.used_sharded, shards > 1)
+            << name << " d=" << d << " shards=" << shards;
+        expect_identical(sharded, oracle,
                          std::string(name) + " d=" + std::to_string(d) +
                              " shards=" + std::to_string(shards));
       }
@@ -258,17 +269,74 @@ TEST(ShardDifferential, WideDimensions) {
   }
 }
 
-TEST(ShardedMacroEngine, ShardsOneDelegatesWholly) {
+TEST(ShardedMacroEngine, ShardsOneTakesFastPath) {
+  // One shard is the trivial partition of the bitplane fast path, at
+  // every dimension -- including the sub-word planes below d = 7.
   const core::Strategy& strategy =
       core::StrategyRegistry::instance().get("CLEAN");
-  const std::optional<sim::MacroProgram> prog = strategy.macro_program(8);
+  for (unsigned d : {3u, 6u, 8u}) {
+    const std::optional<sim::MacroProgram> prog = strategy.macro_program(d);
+    ASSERT_TRUE(prog.has_value());
+    const graph::Graph g = strategy.build_graph(d);
+    const CapturedRun run = run_sharded(
+        *prog, g, sim::MoveSemantics::kAtomicArrival, 1, false, 0.0);
+    EXPECT_TRUE(run.used_fast) << "d=" << d;
+    EXPECT_FALSE(run.used_sharded) << "d=" << d;
+    EXPECT_EQ(run.resolved_shards, 1u);
+    EXPECT_TRUE(run.result.all_terminated);
+  }
+}
+
+// =================================================================
+// Closed forms at H_16, beyond the event engine's practical reach: the
+// fast path's Metrics must equal the paper's costs (core/formulas), and
+// its bitplane end state must be a clean, connected, never-recontaminated
+// sweep (the monotone connected node-search invariants).
+
+TEST(ShardClosedForm, CleanAtH16) {
+  constexpr unsigned d = 16;
+  const core::Strategy& strategy =
+      core::StrategyRegistry::instance().get("CLEAN");
+  const std::optional<sim::MacroProgram> prog = strategy.macro_program(d);
   ASSERT_TRUE(prog.has_value());
-  const graph::Graph g = strategy.build_graph(8);
-  const CapturedRun run = run_sharded(
-      *prog, g, sim::MoveSemantics::kAtomicArrival, 1, false, 0.0);
-  EXPECT_FALSE(run.used_sharded);
-  EXPECT_EQ(run.resolved_shards, 1u);
-  EXPECT_TRUE(run.result.all_terminated);
+  const graph::Graph g = strategy.build_graph(d);
+  for (std::uint32_t shards : {1u, 4u}) {
+    const CapturedRun run = run_sharded(
+        *prog, g, sim::MoveSemantics::kAtomicArrival, shards, false, 0.0);
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_TRUE(run.used_fast);
+    EXPECT_EQ(run.metrics.agents_spawned, core::clean_team_size(d));
+    EXPECT_EQ(run.metrics.moves_of("agent"), core::clean_agent_moves(d));
+    EXPECT_EQ(run.metrics.nodes_visited, std::uint64_t{1} << d);
+    EXPECT_EQ(run.metrics.recontamination_events, 0u);
+    EXPECT_TRUE(run.all_clean);
+    EXPECT_TRUE(run.clean_region_connected);
+    EXPECT_TRUE(run.result.all_terminated);
+  }
+}
+
+TEST(ShardClosedForm, VisibilityAtH16) {
+  constexpr unsigned d = 16;
+  const core::Strategy& strategy =
+      core::StrategyRegistry::instance().get("CLEAN-WITH-VISIBILITY");
+  const std::optional<sim::MacroProgram> prog = strategy.macro_program(d);
+  ASSERT_TRUE(prog.has_value());
+  const graph::Graph g = strategy.build_graph(d);
+  for (std::uint32_t shards : {1u, 4u}) {
+    const CapturedRun run = run_sharded(
+        *prog, g, sim::MoveSemantics::kAtomicArrival, shards, false, 0.0);
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_TRUE(run.used_fast);
+    EXPECT_EQ(run.metrics.agents_spawned, core::visibility_team_size(d));
+    EXPECT_EQ(run.metrics.total_moves, core::visibility_moves(d));
+    EXPECT_EQ(run.metrics.makespan,
+              static_cast<double>(core::visibility_time(d)));
+    EXPECT_EQ(run.metrics.nodes_visited, std::uint64_t{1} << d);
+    EXPECT_EQ(run.metrics.recontamination_events, 0u);
+    EXPECT_TRUE(run.all_clean);
+    EXPECT_TRUE(run.clean_region_connected);
+    EXPECT_TRUE(run.result.all_terminated);
+  }
 }
 
 // =================================================================
@@ -286,13 +354,13 @@ TEST(ShardConcurrency, WideTicksUnderManyShards) {
   const std::optional<sim::MacroProgram> prog = strategy.macro_program(10);
   ASSERT_TRUE(prog.has_value());
   const graph::Graph g = strategy.build_graph(10);
-  const CapturedRun serial =
-      run_serial(*prog, g, sim::MoveSemantics::kAtomicArrival, false, 0.0);
+  const CapturedRun oracle = run_event_oracle(
+      *prog, g, sim::MoveSemantics::kAtomicArrival, false, 0.0);
   for (int rep = 0; rep < 3; ++rep) {
     const CapturedRun sharded = run_sharded(
         *prog, g, sim::MoveSemantics::kAtomicArrival, 8, false, 0.0);
     EXPECT_TRUE(sharded.used_sharded);
-    expect_identical(sharded, serial, "rep=" + std::to_string(rep));
+    expect_identical(sharded, oracle, "rep=" + std::to_string(rep));
   }
   unsetenv("HCS_SHARD_THREADS");
 }
@@ -335,7 +403,7 @@ TEST(ShardIdentity, CheckpointFingerprintIgnoresShards) {
 
 // =================================================================
 // Session-level plumbing: the knob reaches the macro executor and the
-// outcome stays byte-identical to the serial engine's.
+// outcome stays byte-identical to the one-shard run's.
 
 TEST(Session, ShardedMacroOutcomeMatchesSerial) {
   SessionConfig serial_config;
