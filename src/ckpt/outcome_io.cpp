@@ -54,30 +54,6 @@ bool get_string(const Json& json, const char* key, std::string* out,
 
 }  // namespace
 
-bool abort_reason_from_string(std::string_view name, sim::AbortReason* out) {
-  for (const sim::AbortReason reason :
-       {sim::AbortReason::kNone, sim::AbortReason::kStepCap,
-        sim::AbortReason::kLivelock, sim::AbortReason::kFaultUnrecoverable}) {
-    if (name == sim::to_string(reason)) {
-      *out = reason;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool engine_kind_from_string(std::string_view name, sim::EngineKind* out) {
-  for (const sim::EngineKind kind :
-       {sim::EngineKind::kEvent, sim::EngineKind::kMacro,
-        sim::EngineKind::kAuto}) {
-    if (name == sim::to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 Json outcome_json(const core::SimOutcome& outcome) {
   Json j = Json::object();
   j.set("strategy", outcome.strategy);
@@ -129,10 +105,10 @@ bool parse_outcome(const Json& json, core::SimOutcome* out,
   }
   if (dimension > 64) return fail(error, "dimension out of range");
   outcome.dimension = static_cast<unsigned>(dimension);
-  if (!abort_reason_from_string(abort_reason, &outcome.abort_reason)) {
+  if (!sim::from_string(abort_reason, &outcome.abort_reason)) {
     return fail(error, "unknown abort reason \"" + abort_reason + "\"");
   }
-  if (!engine_kind_from_string(engine_used, &outcome.engine_used)) {
+  if (!sim::from_string(engine_used, &outcome.engine_used)) {
     return fail(error, "unknown engine kind \"" + engine_used + "\"");
   }
   const Json* degradation = json.get("degradation");

@@ -6,13 +6,12 @@
 // nested DegradationReport and the enum fields as their canonical
 // to_string names), doubles render through util/json's %.17g canonical
 // writer, and outcome == parse(outcome_json(outcome)) for every
-// representable outcome. The enum inverses live here because nothing
-// below this layer ever needed to read "step-cap" back.
+// representable outcome. Enum names read back through sim::from_string,
+// the inverse of each enum's one name table.
 
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "core/strategy.hpp"
 #include "sim/options.hpp"
@@ -20,14 +19,6 @@
 #include "util/json.hpp"
 
 namespace hcs::ckpt {
-
-/// Inverse of sim::to_string(AbortReason); false on an unknown name.
-[[nodiscard]] bool abort_reason_from_string(std::string_view name,
-                                            sim::AbortReason* out);
-
-/// Inverse of sim::to_string(EngineKind); false on an unknown name.
-[[nodiscard]] bool engine_kind_from_string(std::string_view name,
-                                           sim::EngineKind* out);
 
 [[nodiscard]] Json outcome_json(const core::SimOutcome& outcome);
 

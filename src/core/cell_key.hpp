@@ -1,4 +1,4 @@
-// hcs::CellKey -- the canonical run identity.
+// hcs::CellKey -- the canonical run identity, and the one cell codec.
 //
 // The paper's strategies are deterministic: a run's entire step sequence
 // (and therefore its outcome, metrics and degradation report) is a pure
@@ -15,6 +15,15 @@
 //   * fuzz       -- artifact content hashes (fuzz/cell.cpp CellSpec::key)
 //   * serve      -- hcsd's content-addressed result cache (src/serve)
 //
+// Every front door also goes through the one codec this header holds:
+//   * the axis names come from sim's name tables (sim::to_string /
+//     sim::from_string for wake policy, move semantics, engine kind and
+//     delay kind), spelled nowhere else;
+//   * parse_cell_field is the one strict parser for a cell's JSON fields,
+//     shared by hcsd's request parser and the fuzz artifact reader;
+//   * CellKey::run_options turns a key (plus its enumerable delay) into
+//     the sim::RunOptions that hcsd, sweeps and both fuzz legs execute.
+//
 // The encoding is append-only and versioned by construction: every field
 // serializes, in fixed declaration order, so equal keys render byte-equal
 // and hash() is stable across processes and platforms. Pre-CellKey
@@ -22,8 +31,8 @@
 // deprecation policy).
 //
 // The delay axis is a *label*, not a sampler: DelayModel is opaque, so the
-// key carries run::DelaySpec::label() strings ("unit", "uniform(0.2,3)",
-// "heavy-tailed") -- or the "sampled" catch-all for custom models handed
+// key carries sim::DelaySpec::label() strings ("uniform(0.2,3)" and the
+// kind names) -- or the "sampled" catch-all for custom models handed
 // straight to Session, which callers swap at their own risk.
 
 #pragma once
@@ -33,29 +42,19 @@
 #include <string_view>
 
 #include "fault/fault.hpp"
+#include "sim/delay.hpp"
 #include "sim/options.hpp"
 #include "util/json.hpp"
 
 namespace hcs {
 
-/// Canonical names for the scheduling axes ("fifo"/"random",
-/// "atomic-arrival"/"vacate-on-departure"): the strings the fingerprint
-/// encoding, sweep CSV/JSON IO, and the serve protocol all share.
-[[nodiscard]] const char* wake_policy_name(sim::WakePolicy policy);
-[[nodiscard]] const char* move_semantics_name(sim::MoveSemantics semantics);
-/// False (out untouched) when `name` is not a canonical axis name.
-[[nodiscard]] bool wake_policy_from_name(std::string_view name,
-                                         sim::WakePolicy* out);
-[[nodiscard]] bool move_semantics_from_name(std::string_view name,
-                                            sim::MoveSemantics* out);
-
 struct CellKey {
   std::string strategy;  ///< registry name, canonical casing
   unsigned dimension = 4;
   std::uint64_t seed = 1;
-  /// Delay-model label: "unit", "uniform(lo,hi)", "heavy-tailed", or
-  /// "sampled" for an opaque custom DelayModel.
-  std::string delay = "unit";
+  /// Delay-model label (sim::DelaySpec::label()), or "sampled" for an
+  /// opaque custom DelayModel.
+  std::string delay = sim::to_string(sim::DelaySpec::Kind::kUnit);
   sim::WakePolicy policy = sim::WakePolicy::kFifo;
   bool visibility = false;
   sim::MoveSemantics semantics = sim::MoveSemantics::kAtomicArrival;
@@ -75,6 +74,14 @@ struct CellKey {
                                             unsigned dimension,
                                             const sim::RunOptions& options);
 
+  /// The inverse of from_options: the RunOptions a run of this cell
+  /// executes with. Every identity field is copied and the sampler is
+  /// rebuilt from `delay`, which must be the spec this key's label came
+  /// from. Execution details (trace, obs, shards, checkpoint_*) keep
+  /// their defaults for the caller to set; Session still ORs in the
+  /// strategy's own visibility need.
+  [[nodiscard]] sim::RunOptions run_options(const sim::DelaySpec& delay) const;
+
   /// Canonical JSON object: every field, declaration order, stable axis
   /// names. Equal keys render byte-equal under Json's writer.
   [[nodiscard]] Json to_json() const;
@@ -86,5 +93,24 @@ struct CellKey {
 
   friend bool operator==(const CellKey&, const CellKey&) = default;
 };
+
+/// What parse_cell_field made of one member.
+enum class CellField : std::uint8_t { kParsed, kUnknown, kInvalid };
+
+/// The one strict, total parser for a cell's JSON fields (the CellKey
+/// schema, docs/SERVING.md "Cell schema"): hcsd requests and fuzz
+/// artifacts both feed it every member of their cell object. It parses
+/// `value` into `*key` (and the delay into `*delay`, with key->delay set
+/// to its label) when `name` is a CellKey field, and returns kUnknown
+/// without touching anything otherwise, so each caller decides what its
+/// own extra fields mean. kInvalid comes with a one-line diagnostic in
+/// `*error`. It never aborts: counts must be JSON unsigned integers,
+/// dimension lies in [1, 30], abort guards are > 0, and a uniform delay
+/// needs finite bounds with 0 < lo < hi -- DelayModel::uniform's
+/// precondition, rejected here as input instead.
+[[nodiscard]] CellField parse_cell_field(std::string_view name,
+                                         const Json& value, CellKey* key,
+                                         sim::DelaySpec* delay,
+                                         std::string* error);
 
 }  // namespace hcs

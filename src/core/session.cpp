@@ -218,19 +218,14 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
     }
   }
 
-  sim::Engine::RunResult run;
-  sim::Metrics metrics;
-  bool net_all_clean = false;
-  bool net_region_connected = false;
+  core::RunRecord record;
   if (program.has_value()) {
     // The macro executor resolves options.shards against the topology;
     // any value yields byte-identical results (the shard differential
     // suite pins this against the event engine).
     sim::ShardedMacroEngine engine(net, engine_config);
-    run = engine.run(*program);
-    metrics = engine.metrics();
-    net_all_clean = engine.all_clean();
-    net_region_connected = engine.clean_region_connected();
+    record = {engine.run(*program), engine.metrics(), engine.all_clean(),
+              engine.clean_region_connected()};
   } else {
     sim::Engine engine(net, engine_config);
     strategy.spawn_team(engine, d);
@@ -274,32 +269,13 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
         }
       });
     }
-    run = engine.run();
-    if (ckpt != nullptr) ckpt->paused = run.paused;
-    metrics = net.metrics();
-    net_all_clean = net.all_clean();
-    net_region_connected = net.clean_region_connected();
+    record = {engine.run(), net.metrics(), net.all_clean(),
+              net.clean_region_connected()};
+    if (ckpt != nullptr) ckpt->paused = record.run.paused;
   }
-  const sim::Metrics& m = metrics;
-
-  core::SimOutcome outcome;
-  outcome.strategy = strategy.name();
-  outcome.dimension = d;
-  outcome.team_size = m.agents_spawned;
-  outcome.total_moves = m.total_moves;
-  outcome.agent_moves = m.moves_of("agent");
-  outcome.synchronizer_moves = m.moves_of("synchronizer");
-  outcome.makespan = m.makespan;
-  outcome.capture_time = run.capture_time;
-  outcome.recontaminations = m.recontamination_events;
-  outcome.all_clean = net_all_clean;
-  outcome.clean_region_connected = net_region_connected;
-  outcome.all_agents_terminated = run.all_terminated;
-  outcome.abort_reason = run.abort_reason;
-  outcome.degradation = run.degradation;
-  outcome.peak_whiteboard_bits = m.peak_whiteboard_bits;
-  outcome.engine_used = program.has_value() ? sim::EngineKind::kMacro
-                                            : sim::EngineKind::kEvent;
+  core::SimOutcome outcome = core::make_outcome(
+      strategy.name(), d, record,
+      program.has_value() ? sim::EngineKind::kMacro : sim::EngineKind::kEvent);
 
   if (obs::kEnabled && obs != nullptr) {
     obs->counter_add("run.sessions");

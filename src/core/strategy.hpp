@@ -77,6 +77,22 @@ struct SimOutcome {
   [[nodiscard]] std::string verdict() const;
 };
 
+/// What one finished execution leaves behind, read off the event engine's
+/// Network or the ShardedMacroEngine (both expose the same accessors).
+struct RunRecord {
+  sim::Engine::RunResult run;
+  sim::Metrics metrics;
+  bool all_clean = false;
+  bool clean_region_connected = false;
+};
+
+/// The one SimOutcome assembly (Session and the fuzz oracle both report
+/// through it): the paper's cost measures and safety verdicts of `record`
+/// for `strategy` (registry casing) on H_d, run by `engine_used`.
+[[nodiscard]] SimOutcome make_outcome(std::string strategy, unsigned d,
+                                      const RunRecord& record,
+                                      sim::EngineKind engine_used);
+
 /// Historical name for the unified run-option struct. The old standalone
 /// SimRunConfig's field order is a subsequence of sim::RunOptions, so
 /// existing designated initializers compile unchanged.

@@ -101,6 +101,14 @@ class Strategy {
       unsigned /*d*/) const {
     return std::nullopt;
   }
+
+  /// Whether macro_program returns a program. That is a property of the
+  /// strategy, not of d, so this asks at the smallest cube (H_1) instead
+  /// of planning at a run's own dimension -- the check admission paths
+  /// (hcsd) make per request.
+  [[nodiscard]] bool has_macro_program() const {
+    return macro_program(1).has_value();
+  }
 };
 
 class StrategyRegistry {

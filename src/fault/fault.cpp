@@ -3,10 +3,20 @@
 #include <cstdio>
 
 #include "util/assert.hpp"
+#include "util/enum_names.hpp"
 
 namespace hcs::fault {
 
 namespace {
+
+constexpr NameTable<FaultKind, 6> kFaultKindNames{{
+    {FaultKind::kCrashAtNode, "crash-at-node"},
+    {FaultKind::kCrashInTransit, "crash-in-transit"},
+    {FaultKind::kWhiteboardLoss, "whiteboard-loss"},
+    {FaultKind::kWhiteboardCorrupt, "whiteboard-corrupt"},
+    {FaultKind::kDroppedWake, "dropped-wake"},
+    {FaultKind::kLinkStall, "link-stall"},
+}};
 
 /// Stateless splitmix64-style mix of the decision coordinates. Each
 /// (seed, kind, entity, index) tuple maps to an independent 64-bit draw,
@@ -43,28 +53,11 @@ std::string rate_part(const char* name, double rate) {
 }  // namespace
 
 const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrashAtNode: return "crash-at-node";
-    case FaultKind::kCrashInTransit: return "crash-in-transit";
-    case FaultKind::kWhiteboardLoss: return "whiteboard-loss";
-    case FaultKind::kWhiteboardCorrupt: return "whiteboard-corrupt";
-    case FaultKind::kDroppedWake: return "dropped-wake";
-    case FaultKind::kLinkStall: return "link-stall";
-  }
-  return "?";
+  return enum_name(kFaultKindNames, kind);
 }
 
 bool from_string(std::string_view name, FaultKind* out) {
-  for (const auto kind :
-       {FaultKind::kCrashAtNode, FaultKind::kCrashInTransit,
-        FaultKind::kWhiteboardLoss, FaultKind::kWhiteboardCorrupt,
-        FaultKind::kDroppedWake, FaultKind::kLinkStall}) {
-    if (name == to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
+  return enum_from_name(kFaultKindNames, name, out);
 }
 
 bool FaultSpec::empty() const {

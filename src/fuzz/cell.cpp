@@ -1,11 +1,10 @@
 #include "fuzz/cell.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
-
-#include <optional>
 
 #include "core/strategy_registry.hpp"
 #include "fault/fault_io.hpp"
@@ -15,77 +14,40 @@
 #include "sim/network.hpp"
 #include "sim/shard.hpp"
 #include "util/assert.hpp"
+#include "util/enum_names.hpp"
 
 namespace hcs::fuzz {
 
 namespace {
+
+constexpr NameTable<Expect, 5> kExpectNames{{
+    {Expect::kAuto, "auto"},
+    {Expect::kCorrect, "correct"},
+    {Expect::kCaptured, "captured"},
+    {Expect::kPrincipled, "principled"},
+    {Expect::kSafety, "safety"},
+}};
+
+constexpr NameTable<FailureKind, 7> kFailureKindNames{{
+    {FailureKind::kUnexpectedAbort, "unexpected-abort"},
+    {FailureKind::kCaptureFailure, "capture-failure"},
+    {FailureKind::kMonotonicityViolation, "monotonicity-violation"},
+    {FailureKind::kStrandedAgents, "stranded-agents"},
+    {FailureKind::kAccountingMismatch, "accounting-mismatch"},
+    {FailureKind::kTraceInvariant, "trace-invariant"},
+    {FailureKind::kDifferentialDivergence, "differential-divergence"},
+}};
 
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
 }
 
-const char* delay_kind_name(run::DelaySpec::Kind kind) {
-  switch (kind) {
-    case run::DelaySpec::Kind::kUnit: return "unit";
-    case run::DelaySpec::Kind::kUniform: return "uniform";
-    case run::DelaySpec::Kind::kHeavyTailed: return "heavy-tailed";
-  }
-  return "?";
-}
-
-bool delay_kind_parse(std::string_view name, run::DelaySpec::Kind* out) {
-  for (const auto kind :
-       {run::DelaySpec::Kind::kUnit, run::DelaySpec::Kind::kUniform,
-        run::DelaySpec::Kind::kHeavyTailed}) {
-    if (name == delay_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool policy_parse(std::string_view name, sim::WakePolicy* out) {
-  for (const auto policy : {sim::WakePolicy::kFifo, sim::WakePolicy::kRandom}) {
-    if (name == run::to_string(policy)) {
-      *out = policy;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool semantics_parse(std::string_view name, sim::MoveSemantics* out) {
-  for (const auto semantics : {sim::MoveSemantics::kAtomicArrival,
-                               sim::MoveSemantics::kVacateOnDeparture}) {
-    if (name == run::to_string(semantics)) {
-      *out = semantics;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool engine_parse(std::string_view name, sim::EngineKind* out) {
-  for (const auto engine : {sim::EngineKind::kEvent, sim::EngineKind::kMacro,
-                            sim::EngineKind::kAuto}) {
-    if (name == sim::to_string(engine)) {
-      *out = engine;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Everything one engine execution yields that the oracle judges.
 struct Executed {
   std::string strategy_name;
-  sim::Metrics metrics;
+  core::RunRecord record;
   sim::Trace trace;
-  sim::Engine::RunResult run;
-  bool all_clean = false;
-  bool clean_region_connected = false;
   std::vector<sim::InvariantViolation> trace_violations;
 };
 
@@ -103,51 +65,18 @@ Executed execute(const CellSpec& spec, const core::Strategy& strategy,
   net.set_move_semantics(spec.semantics);
   net.trace().enable(true);
 
-  sim::RunOptions cfg;
-  cfg.delay = spec.delay.make();
-  cfg.policy = spec.policy;
-  cfg.seed = spec.seed;
-  cfg.visibility = strategy.needs_visibility();
-  cfg.semantics = spec.semantics;
-  cfg.max_agent_steps = spec.max_agent_steps;
-  cfg.livelock_window = spec.livelock_window;
-  cfg.faults = spec.faults;
-  cfg.recovery = spec.recovery;
-
-  sim::Engine engine(net, cfg);
+  sim::Engine engine(net, spec.run_options());
   if (fired != nullptr) engine.fault_schedule().set_fired_sink(fired);
   strategy.spawn_team(engine, spec.dimension);
 
   Executed out;
   out.strategy_name = strategy.name();
-  out.run = engine.run();
-  out.metrics = net.metrics();
-  out.all_clean = net.all_clean();
-  out.clean_region_connected = net.clean_region_connected();
+  out.record = {engine.run(), net.metrics(), net.all_clean(),
+                net.clean_region_connected()};
   out.trace_violations = sim::check_trace_invariants(
-      g, net.trace(), /*run_completed=*/!out.run.aborted());
+      g, net.trace(), /*run_completed=*/!out.record.run.aborted());
   out.trace = std::move(net.trace());
   return out;
-}
-
-core::SimOutcome to_outcome(const CellSpec& spec, const Executed& x) {
-  core::SimOutcome outcome;
-  outcome.strategy = x.strategy_name;
-  outcome.dimension = spec.dimension;
-  outcome.team_size = x.metrics.agents_spawned;
-  outcome.total_moves = x.metrics.total_moves;
-  outcome.agent_moves = x.metrics.moves_of("agent");
-  outcome.synchronizer_moves = x.metrics.moves_of("synchronizer");
-  outcome.makespan = x.metrics.makespan;
-  outcome.capture_time = x.run.capture_time;
-  outcome.recontaminations = x.metrics.recontamination_events;
-  outcome.all_clean = x.all_clean;
-  outcome.clean_region_connected = x.clean_region_connected;
-  outcome.all_agents_terminated = x.run.all_terminated;
-  outcome.abort_reason = x.run.abort_reason;
-  outcome.degradation = x.run.degradation;
-  outcome.peak_whiteboard_bits = x.metrics.peak_whiteboard_bits;
-  return outcome;
 }
 
 void check_contract(const CellSpec& spec, const core::SimOutcome& o,
@@ -241,12 +170,10 @@ void check_contract(const CellSpec& spec, const core::SimOutcome& o,
   }
 }
 
-/// First divergence between the implicit-topology run and the generic
-/// oracle run, or empty when byte-identical. `with_trace` covers the
-/// sharded macro leg, which runs untraced (tracing would force the exact
-/// serial path): metrics and run result still compare, the trace does not.
-std::string compare_runs(const Executed& a, const Executed& b,
-                         bool with_trace = true) {
+/// First divergence between two executions' metrics and run results, or
+/// empty when identical.
+std::string compare_records(const core::RunRecord& a,
+                            const core::RunRecord& b) {
   const auto num = [](const char* name, std::uint64_t x, std::uint64_t y) {
     return std::string(name) + " " + std::to_string(x) + " vs " +
            std::to_string(y);
@@ -286,12 +213,21 @@ std::string compare_runs(const Executed& a, const Executed& b,
   }
   if (a.run.abort_reason != b.run.abort_reason) return "abort_reason differs";
   if (a.run.capture_time != b.run.capture_time) return "capture_time differs";
-  if (!with_trace) return {};
+  return {};
+}
 
+/// First divergence between the implicit-topology run and the generic
+/// oracle run -- records, then traces -- or empty when byte-identical.
+std::string compare_runs(const Executed& a, const Executed& b) {
+  if (std::string divergence = compare_records(a.record, b.record);
+      !divergence.empty()) {
+    return divergence;
+  }
   const auto& ea = a.trace.events();
   const auto& eb = b.trace.events();
   if (ea.size() != eb.size()) {
-    return num("trace length", ea.size(), eb.size());
+    return "trace length " + std::to_string(ea.size()) + " vs " +
+           std::to_string(eb.size());
   }
   for (std::size_t i = 0; i < ea.size(); ++i) {
     const sim::TraceEvent& x = ea[i];
@@ -315,48 +251,33 @@ std::string compare_runs(const Executed& a, const Executed& b,
 /// without a compiled program).
 std::string macro_engine_divergence(const CellSpec& spec,
                                     const core::Strategy& strategy) {
-  sim::RunOptions cfg;
-  cfg.delay = spec.delay.make();
-  cfg.policy = spec.policy;
-  cfg.seed = spec.seed;
-  cfg.visibility = strategy.needs_visibility();
-  cfg.semantics = spec.semantics;
-  cfg.max_agent_steps = spec.max_agent_steps;
-  cfg.livelock_window = spec.livelock_window;
-  cfg.faults = spec.faults;
-  cfg.recovery = spec.recovery;
-  cfg.shards = spec.shards;
+  const sim::RunOptions cfg = spec.run_options();
   if (!sim::macro_eligible(cfg)) return {};
   const std::optional<sim::MacroProgram> program =
       strategy.macro_program(spec.dimension);
   if (!program.has_value()) return {};
 
   const graph::Graph g = strategy.build_graph(spec.dimension);
-  Executed event;
+  core::RunRecord event;
   {
     sim::Network net(g, /*homebase=*/0);
     net.set_move_semantics(spec.semantics);
     sim::Engine engine(net, cfg);
     sim::spawn_macro_team(engine, *program);
-    event.run = engine.run();
-    event.metrics = net.metrics();
-    event.all_clean = net.all_clean();
-    event.clean_region_connected = net.clean_region_connected();
+    event = {engine.run(), net.metrics(), net.all_clean(),
+             net.clean_region_connected()};
   }
-  Executed macro;
+  core::RunRecord macro;
   {
     sim::Network net(g, /*homebase=*/0);
     net.set_move_semantics(spec.semantics);
     sim::ShardedMacroEngine engine(net, cfg);
-    macro.run = engine.run(*program);
-    macro.metrics = engine.metrics();
-    macro.all_clean = engine.all_clean();
-    macro.clean_region_connected = engine.clean_region_connected();
+    macro = {engine.run(*program), engine.metrics(), engine.all_clean(),
+             engine.clean_region_connected()};
   }
 
   const std::string prefix = "shards=" + std::to_string(spec.shards) + ": ";
-  const std::string divergence =
-      compare_runs(event, macro, /*with_trace=*/false);
+  const std::string divergence = compare_records(event, macro);
   if (!divergence.empty()) return prefix + divergence;
   if (event.all_clean != macro.all_clean) return prefix + "all_clean differs";
   if (event.clean_region_connected != macro.clean_region_connected) {
@@ -368,53 +289,19 @@ std::string macro_engine_divergence(const CellSpec& spec,
 }  // namespace
 
 const char* to_string(Expect expect) {
-  switch (expect) {
-    case Expect::kAuto: return "auto";
-    case Expect::kCorrect: return "correct";
-    case Expect::kCaptured: return "captured";
-    case Expect::kPrincipled: return "principled";
-    case Expect::kSafety: return "safety";
-  }
-  return "?";
+  return enum_name(kExpectNames, expect);
 }
 
 bool expect_from_string(std::string_view name, Expect* out) {
-  for (const auto expect : {Expect::kAuto, Expect::kCorrect, Expect::kCaptured,
-                            Expect::kPrincipled, Expect::kSafety}) {
-    if (name == to_string(expect)) {
-      *out = expect;
-      return true;
-    }
-  }
-  return false;
+  return enum_from_name(kExpectNames, name, out);
 }
 
 const char* to_string(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kUnexpectedAbort: return "unexpected-abort";
-    case FailureKind::kCaptureFailure: return "capture-failure";
-    case FailureKind::kMonotonicityViolation: return "monotonicity-violation";
-    case FailureKind::kStrandedAgents: return "stranded-agents";
-    case FailureKind::kAccountingMismatch: return "accounting-mismatch";
-    case FailureKind::kTraceInvariant: return "trace-invariant";
-    case FailureKind::kDifferentialDivergence:
-      return "differential-divergence";
-  }
-  return "?";
+  return enum_name(kFailureKindNames, kind);
 }
 
 bool failure_kind_from_string(std::string_view name, FailureKind* out) {
-  for (const auto kind :
-       {FailureKind::kUnexpectedAbort, FailureKind::kCaptureFailure,
-        FailureKind::kMonotonicityViolation, FailureKind::kStrandedAgents,
-        FailureKind::kAccountingMismatch, FailureKind::kTraceInvariant,
-        FailureKind::kDifferentialDivergence}) {
-    if (name == to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
+  return enum_from_name(kFailureKindNames, name, out);
 }
 
 Expect CellSpec::resolved_expect() const {
@@ -458,7 +345,7 @@ Expect CellSpec::resolved_expect() const {
 
 Json CellSpec::to_json() const {
   Json delay_json = Json::object();
-  delay_json.set("kind", delay_kind_name(delay.kind));
+  delay_json.set("kind", sim::to_string(delay.kind));
   delay_json.set("lo", delay.lo);
   delay_json.set("hi", delay.hi);
 
@@ -467,8 +354,8 @@ Json CellSpec::to_json() const {
   j.set("dimension", static_cast<std::uint64_t>(dimension));
   j.set("seed", seed);
   j.set("delay", std::move(delay_json));
-  j.set("policy", run::to_string(policy));
-  j.set("semantics", run::to_string(semantics));
+  j.set("policy", sim::to_string(policy));
+  j.set("semantics", sim::to_string(semantics));
   j.set("faults", fault::fault_spec_json(faults));
   j.set("recovery", fault::recovery_config_json(recovery));
   j.set("max_agent_steps", max_agent_steps);
@@ -501,6 +388,14 @@ CellKey CellSpec::key() const {
   return key;
 }
 
+sim::RunOptions CellSpec::run_options() const {
+  sim::RunOptions options = key().run_options(delay);
+  options.visibility =
+      core::StrategyRegistry::instance().get(strategy).needs_visibility();
+  options.shards = shards;
+  return options;
+}
+
 std::string CellSpec::content_hash() const {
   Json id = Json::object();
   id.set("cell", key().to_json());
@@ -515,41 +410,46 @@ std::string CellSpec::content_hash() const {
 
 bool parse_cell_spec(const Json& json, CellSpec* out, std::string* error) {
   if (!json.is_object()) return fail(error, "cell spec is not an object");
+  // Every field to_json() writes must be present: a replayable cell pins
+  // its whole configuration rather than leaning on defaults.
+  for (const char* name :
+       {"strategy", "dimension", "seed", "delay", "policy", "semantics",
+        "faults", "recovery", "max_agent_steps", "livelock_window", "expect",
+        "differential"}) {
+    if (json.get(name) == nullptr) {
+      return fail(error, std::string("cell missing \"") + name + "\"");
+    }
+  }
+
   CellSpec spec;
-
-  const Json* strategy = json.get("strategy");
-  if (strategy == nullptr || !strategy->is_string()) {
-    return fail(error, "cell missing \"strategy\"");
+  CellKey key;
+  for (const auto& [name, value] : json.members()) {
+    if (name == "expect") {
+      if (!value.is_string() ||
+          !expect_from_string(value.as_string(), &spec.expect)) {
+        return fail(error, "unknown expect level");
+      }
+    } else if (name == "differential") {
+      if (value.type() != Json::Type::kBool) {
+        return fail(error, "cell \"differential\" must be a bool");
+      }
+      spec.differential = value.as_bool();
+    } else if (name == "shards") {
+      // Absent in pre-shard-axis artifacts, which ran serial only.
+      if (value.type() != Json::Type::kUint || value.as_uint() == 0) {
+        return fail(error, "cell \"shards\" must be unsigned >= 1");
+      }
+      spec.shards = static_cast<std::uint32_t>(value.as_uint());
+    } else if (parse_cell_field(name, value, &key, &spec.delay, error) ==
+               CellField::kInvalid) {
+      return false;
+    }
   }
-  spec.strategy = strategy->as_string();
 
-  // Corrupt-input safety: require kUint, not is_integer() -- the int64
-  // constructor normalizes non-negative values to kUint, so a kInt member
-  // is a negative number and as_uint() on it aborts instead of failing.
-  const Json* dimension = json.get("dimension");
-  if (dimension == nullptr || dimension->type() != Json::Type::kUint) {
-    return fail(error, "cell missing \"dimension\"");
-  }
-  spec.dimension = static_cast<unsigned>(dimension->as_uint());
-  if (spec.dimension < 1 || spec.dimension > 24) {
-    return fail(error, "cell dimension out of range");
-  }
-
-  const Json* seed = json.get("seed");
-  if (seed == nullptr || seed->type() != Json::Type::kUint) {
-    return fail(error, "cell missing \"seed\"");
-  }
-  spec.seed = seed->as_uint();
-
+  if (key.dimension > 24) return fail(error, "cell dimension out of range");
+  // The writer emits the bounds for every delay kind; re-read them so a
+  // bound-free kind's bounds round-trip byte-identically too.
   const Json* delay = json.get("delay");
-  if (delay == nullptr || !delay->is_object()) {
-    return fail(error, "cell missing \"delay\"");
-  }
-  const Json* delay_kind = delay->get("kind");
-  if (delay_kind == nullptr || !delay_kind->is_string() ||
-      !delay_kind_parse(delay_kind->as_string(), &spec.delay.kind)) {
-    return fail(error, "unknown delay kind");
-  }
   const Json* lo = delay->get("lo");
   const Json* hi = delay->get("hi");
   if (lo == nullptr || !lo->is_number() || hi == nullptr || !hi->is_number()) {
@@ -558,71 +458,17 @@ bool parse_cell_spec(const Json& json, CellSpec* out, std::string* error) {
   spec.delay.lo = lo->as_double();
   spec.delay.hi = hi->as_double();
 
-  const Json* policy = json.get("policy");
-  if (policy == nullptr || !policy->is_string() ||
-      !policy_parse(policy->as_string(), &spec.policy)) {
-    return fail(error, "unknown wake policy");
-  }
-  const Json* semantics = json.get("semantics");
-  if (semantics == nullptr || !semantics->is_string() ||
-      !semantics_parse(semantics->as_string(), &spec.semantics)) {
-    return fail(error, "unknown move semantics");
-  }
-
-  const Json* faults = json.get("faults");
-  if (faults == nullptr ||
-      !fault::parse_fault_spec(*faults, &spec.faults, error)) {
-    return error != nullptr && !error->empty()
-               ? false
-               : fail(error, "cell missing \"faults\"");
-  }
-  const Json* recovery = json.get("recovery");
-  if (recovery == nullptr ||
-      !fault::parse_recovery_config(*recovery, &spec.recovery, error)) {
-    return error != nullptr && !error->empty()
-               ? false
-               : fail(error, "cell missing \"recovery\"");
-  }
-
-  const Json* max_steps = json.get("max_agent_steps");
-  if (max_steps == nullptr || max_steps->type() != Json::Type::kUint) {
-    return fail(error, "cell missing \"max_agent_steps\"");
-  }
-  spec.max_agent_steps = max_steps->as_uint();
-  const Json* livelock = json.get("livelock_window");
-  if (livelock == nullptr || livelock->type() != Json::Type::kUint) {
-    return fail(error, "cell missing \"livelock_window\"");
-  }
-  spec.livelock_window = livelock->as_uint();
-
-  const Json* expect = json.get("expect");
-  if (expect == nullptr || !expect->is_string() ||
-      !expect_from_string(expect->as_string(), &spec.expect)) {
-    return fail(error, "unknown expect level");
-  }
-  const Json* differential = json.get("differential");
-  if (differential == nullptr || differential->type() != Json::Type::kBool) {
-    return fail(error, "cell missing \"differential\"");
-  }
-  spec.differential = differential->as_bool();
-
-  // Optional: absent in pre-engine-axis artifacts, which ran kEvent only.
-  if (const Json* engine = json.get("engine"); engine != nullptr) {
-    if (!engine->is_string() ||
-        !engine_parse(engine->as_string(), &spec.engine)) {
-      return fail(error, "unknown engine kind");
-    }
-  }
-
-  // Optional: absent in pre-shard-axis artifacts, which ran serial only.
-  if (const Json* shards = json.get("shards"); shards != nullptr) {
-    if (shards->type() != Json::Type::kUint) {
-      return fail(error, "cell \"shards\" is not an unsigned integer");
-    }
-    spec.shards = static_cast<std::uint32_t>(shards->as_uint());
-    if (spec.shards == 0) return fail(error, "cell \"shards\" must be >= 1");
-  }
-
+  spec.strategy = std::move(key.strategy);
+  spec.dimension = key.dimension;
+  spec.seed = key.seed;
+  spec.policy = key.policy;
+  spec.semantics = key.semantics;
+  spec.faults = std::move(key.faults);
+  spec.recovery = key.recovery;
+  spec.max_agent_steps = key.max_agent_steps;
+  spec.livelock_window = key.livelock_window;
+  // Absent in pre-engine-axis artifacts, which ran kEvent only.
+  spec.engine = key.engine;
   *out = std::move(spec);
   return true;
 }
@@ -654,7 +500,8 @@ CellResult run_cell(const CellSpec& spec) {
   std::vector<fault::FaultEvent> fired_raw;
   const Executed primary = execute(spec, *strategy, /*implicit_topology=*/true,
                                    &fired_raw);
-  result.outcome = to_outcome(spec, primary);
+  result.outcome = core::make_outcome(primary.strategy_name, spec.dimension,
+                                      primary.record, sim::EngineKind::kEvent);
 
   // Dedup fired decisions (a decision point may be queried more than once)
   // while keeping first-firing order.

@@ -112,6 +112,12 @@ struct CellSpec {
   /// it.
   [[nodiscard]] CellKey key() const;
 
+  /// The RunOptions both oracle legs drive the engines with: key() through
+  /// the shared CellKey::run_options builder, plus the strategy's
+  /// visibility need (the legs drive sim::Engine directly, so no Session
+  /// ORs it in) and `shards`. The strategy must be registered.
+  [[nodiscard]] sim::RunOptions run_options() const;
+
   [[nodiscard]] Json to_json() const;
   /// Canonical serialized form; equal specs render byte-equal.
   [[nodiscard]] std::string canonical() const { return to_json().dump(); }

@@ -1,7 +1,6 @@
 #include "run/sweep.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <utility>
@@ -13,53 +12,6 @@
 #include "util/assert.hpp"
 
 namespace hcs::run {
-
-namespace {
-
-/// Shortest exact-ish rendering for delay-bound labels: 3 -> "3",
-/// 0.2 -> "0.2".
-std::string compact(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
-}  // namespace
-
-sim::DelayModel DelaySpec::make() const {
-  switch (kind) {
-    case Kind::kUnit: return sim::DelayModel::unit();
-    case Kind::kUniform: return sim::DelayModel::uniform(lo, hi);
-    case Kind::kHeavyTailed: return sim::DelayModel::heavy_tailed();
-  }
-  return sim::DelayModel::unit();
-}
-
-std::string DelaySpec::label() const {
-  switch (kind) {
-    case Kind::kUnit: return "unit";
-    case Kind::kUniform:
-      return "uniform(" + compact(lo) + "," + compact(hi) + ")";
-    case Kind::kHeavyTailed: return "heavy-tailed";
-  }
-  return "?";
-}
-
-const char* to_string(sim::Engine::WakePolicy policy) {
-  switch (policy) {
-    case sim::Engine::WakePolicy::kFifo: return "fifo";
-    case sim::Engine::WakePolicy::kRandom: return "random";
-  }
-  return "?";
-}
-
-const char* to_string(sim::MoveSemantics semantics) {
-  switch (semantics) {
-    case sim::MoveSemantics::kAtomicArrival: return "atomic-arrival";
-    case sim::MoveSemantics::kVacateOnDeparture: return "vacate-on-departure";
-  }
-  return "?";
-}
 
 std::size_t SweepSpec::num_cells() const {
   return strategies.size() * dimensions.size() * seeds.size() *
@@ -92,15 +44,7 @@ SweepCell sweep_cell_at(const SweepSpec& spec, std::size_t index) {
 SweepCell run_sweep_cell(const SweepSpec& spec, std::size_t index,
                          obs::Registry* obs) {
   SweepCell cell = sweep_cell_at(spec, index);
-  core::SimRunConfig config;
-  config.delay = cell.delay.make();
-  config.policy = cell.policy;
-  config.seed = cell.seed;
-  config.semantics = cell.semantics;
-  config.max_agent_steps = spec.max_agent_steps;
-  config.faults = cell.faults;
-  config.recovery = spec.recovery;
-  config.engine = cell.engine;
+  sim::RunOptions config = sweep_cell_key(spec, index).run_options(cell.delay);
   config.shards = spec.shards;
 
   obs::ScopedSink sink(obs);

@@ -29,27 +29,10 @@
 
 namespace hcs::run {
 
-/// A serializable description of a DelayModel (DelayModel itself is an
-/// opaque sampler; sweeps need enumerable, printable configurations).
-struct DelaySpec {
-  enum class Kind : std::uint8_t { kUnit, kUniform, kHeavyTailed };
-  Kind kind = Kind::kUnit;
-  double lo = 0.0;  ///< uniform bounds; unused otherwise
-  double hi = 0.0;
-
-  static DelaySpec unit() { return {}; }
-  static DelaySpec uniform(double lo, double hi) {
-    return {Kind::kUniform, lo, hi};
-  }
-  static DelaySpec heavy_tailed() { return {Kind::kHeavyTailed, 0.0, 0.0}; }
-
-  [[nodiscard]] sim::DelayModel make() const;
-  /// "unit", "uniform(0.2,3)", "heavy-tailed".
-  [[nodiscard]] std::string label() const;
-};
-
-[[nodiscard]] const char* to_string(sim::Engine::WakePolicy policy);
-[[nodiscard]] const char* to_string(sim::MoveSemantics semantics);
+/// The delay axis (sim/delay.hpp) and the axis names (sim's name tables),
+/// under their historical run:: spellings.
+using DelaySpec = sim::DelaySpec;
+using sim::to_string;
 
 /// The cartesian grid. Axis order (slowest to fastest varying in the cell
 /// enumeration): strategies, dimensions, seeds, delays, policies,

@@ -1,10 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include <cmath>
 #include <utility>
-
-#include "ckpt/outcome_io.hpp"
-#include "fault/fault_io.hpp"
 
 namespace hcs::serve {
 
@@ -15,139 +11,23 @@ bool fail(std::string* error, std::string what) {
   return false;
 }
 
-/// kUint-only: Json(int64) normalizes non-negative values to kUint, so a
-/// kInt member is a negative number and as_uint() on it would abort
-/// instead of failing -- the corrupt-input guard every parser in this
-/// codebase uses.
-const Json* get_uint(const Json& json, const char* key) {
-  const Json* member = json.get(key);
-  if (member == nullptr || member->type() != Json::Type::kUint) return nullptr;
-  return member;
-}
-
-bool parse_delay(const Json& json, run::DelaySpec* out, std::string* error) {
-  if (json.is_string()) {
-    const std::string& name = json.as_string();
-    if (name == "unit") {
-      *out = run::DelaySpec::unit();
-      return true;
-    }
-    if (name == "heavy-tailed") {
-      *out = run::DelaySpec::heavy_tailed();
-      return true;
-    }
-    return fail(error, "unknown delay shorthand \"" + name +
-                           "\" (use \"unit\", \"heavy-tailed\", or a "
-                           "{kind,lo,hi} object)");
-  }
-  if (!json.is_object()) {
-    return fail(error, "\"delay\" must be a string shorthand or an object");
-  }
-  const Json* kind = json.get("kind");
-  if (kind == nullptr || !kind->is_string()) {
-    return fail(error, "delay object missing string \"kind\"");
-  }
-  const std::string& name = kind->as_string();
-  if (name == "unit") {
-    *out = run::DelaySpec::unit();
-    return true;
-  }
-  if (name == "heavy-tailed") {
-    *out = run::DelaySpec::heavy_tailed();
-    return true;
-  }
-  if (name != "uniform") {
-    return fail(error, "unknown delay kind \"" + name + "\"");
-  }
-  const Json* lo = json.get("lo");
-  const Json* hi = json.get("hi");
-  if (lo == nullptr || !lo->is_number() || hi == nullptr ||
-      !hi->is_number()) {
-    return fail(error, "uniform delay needs numeric \"lo\" and \"hi\"");
-  }
-  const double lo_v = lo->as_double();
-  const double hi_v = hi->as_double();
-  // DelayModel::uniform requires 0 < lo < hi; reject here so bad input is
-  // a diagnostic, not a precondition abort.
-  if (!std::isfinite(lo_v) || !std::isfinite(hi_v) || lo_v <= 0.0 ||
-      lo_v >= hi_v) {
-    return fail(error, "uniform delay needs 0 < lo < hi");
-  }
-  *out = run::DelaySpec::uniform(lo_v, hi_v);
-  return true;
-}
-
+/// The cell object: CellKey's fields through the shared field parser
+/// (core/cell_key.hpp), plus hcsd's own rules -- strategy and dimension
+/// are required, and any other member is an error.
 bool parse_cell(const Json& json, Request* out, std::string* error) {
   if (!json.is_object()) return fail(error, "\"cell\" must be an object");
-
-  const Json* strategy = json.get("strategy");
-  if (strategy == nullptr || !strategy->is_string()) {
+  if (json.get("strategy") == nullptr) {
     return fail(error, "cell missing string \"strategy\"");
   }
-  out->key.strategy = strategy->as_string();
-
-  const Json* dimension = get_uint(json, "dimension");
-  if (dimension == nullptr) {
+  if (json.get("dimension") == nullptr) {
     return fail(error, "cell missing unsigned \"dimension\"");
   }
-  if (dimension->as_uint() < 1 || dimension->as_uint() > 30) {
-    return fail(error, "cell dimension out of range [1, 30]");
-  }
-  out->key.dimension = static_cast<unsigned>(dimension->as_uint());
-
   for (const auto& [name, value] : json.members()) {
-    if (name == "strategy" || name == "dimension") continue;
-    if (name == "seed") {
-      if (value.type() != Json::Type::kUint) {
-        return fail(error, "cell \"seed\" must be unsigned");
-      }
-      out->key.seed = value.as_uint();
-    } else if (name == "delay") {
-      if (!parse_delay(value, &out->delay, error)) return false;
-      out->key.delay = out->delay.label();
-    } else if (name == "policy") {
-      if (!value.is_string() ||
-          !wake_policy_from_name(value.as_string(), &out->key.policy)) {
-        return fail(error, "unknown wake policy");
-      }
-    } else if (name == "visibility") {
-      if (value.type() != Json::Type::kBool) {
-        return fail(error, "cell \"visibility\" must be a bool");
-      }
-      out->key.visibility = value.as_bool();
-    } else if (name == "semantics") {
-      if (!value.is_string() ||
-          !move_semantics_from_name(value.as_string(), &out->key.semantics)) {
-        return fail(error, "unknown move semantics");
-      }
-    } else if (name == "max_agent_steps") {
-      if (value.type() != Json::Type::kUint || value.as_uint() == 0) {
-        return fail(error, "cell \"max_agent_steps\" must be unsigned > 0");
-      }
-      out->key.max_agent_steps = value.as_uint();
-    } else if (name == "livelock_window") {
-      if (value.type() != Json::Type::kUint || value.as_uint() == 0) {
-        return fail(error, "cell \"livelock_window\" must be unsigned > 0");
-      }
-      out->key.livelock_window = value.as_uint();
-    } else if (name == "faults") {
-      std::string sub;
-      if (!fault::parse_fault_spec(value, &out->key.faults, &sub)) {
-        return fail(error, "cell \"faults\": " + sub);
-      }
-    } else if (name == "recovery") {
-      std::string sub;
-      if (!fault::parse_recovery_config(value, &out->key.recovery, &sub)) {
-        return fail(error, "cell \"recovery\": " + sub);
-      }
-    } else if (name == "engine") {
-      if (!value.is_string() ||
-          !ckpt::engine_kind_from_string(value.as_string(),
-                                         &out->key.engine)) {
-        return fail(error, "unknown engine kind");
-      }
-    } else {
-      return fail(error, "unknown cell field \"" + name + "\"");
+    switch (parse_cell_field(name, value, &out->key, &out->delay, error)) {
+      case CellField::kParsed: break;
+      case CellField::kInvalid: return false;
+      case CellField::kUnknown:
+        return fail(error, "unknown cell field \"" + name + "\"");
     }
   }
   return true;
@@ -164,8 +44,12 @@ bool parse_request(std::string_view line, Request* out, std::string* error) {
   if (!doc->is_object()) return fail(error, "request must be a JSON object");
 
   Request req;
-  const Json* id = get_uint(*doc, "id");
-  if (id == nullptr) return fail(error, "request missing unsigned \"id\"");
+  // kUint-only: Json(int64) normalizes non-negative values to kUint, so a
+  // kInt id is negative and as_uint() on it would abort instead of failing.
+  const Json* id = doc->get("id");
+  if (id == nullptr || id->type() != Json::Type::kUint) {
+    return fail(error, "request missing unsigned \"id\"");
+  }
   req.id = id->as_uint();
 
   const Json* op = doc->get("op");

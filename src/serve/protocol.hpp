@@ -7,11 +7,11 @@
 //    "trace":false}
 //
 // ops: "run" (execute/serve a cell), "stats" (service counters), "ping",
-// "shutdown" (drain and stop the server). The "cell" object's fields
-// mirror hcs::CellKey's canonical schema; everything but strategy and
-// dimension is optional and defaults to the CellKey defaults. "delay"
-// accepts the string shorthands "unit" / "heavy-tailed" or a
-// {"kind":...,"lo":...,"hi":...} object (run::DelaySpec's JSON form).
+// "shutdown" (drain and stop the server). The "cell" object is the cell
+// schema of docs/SERVING.md, parsed field by field by the shared
+// hcs::parse_cell_field (core/cell_key.hpp); everything but strategy and
+// dimension is optional and defaults to the CellKey defaults, and a
+// member outside the schema is an error.
 // "shards" (top-level, like "trace") picks the macro executor's subcube
 // shard count for this execution; unlike "trace" it never splits the
 // cache, because results are shard-invariant.
@@ -36,7 +36,7 @@
 #include <string_view>
 
 #include "core/cell_key.hpp"
-#include "run/sweep.hpp"
+#include "sim/delay.hpp"
 #include "util/json.hpp"
 
 namespace hcs::serve {
@@ -50,7 +50,7 @@ struct Request {
   /// `delay` holds the enumerable spec the executor rebuilds the sampler
   /// from.
   CellKey key;
-  run::DelaySpec delay;
+  sim::DelaySpec delay;
   /// Include the full event trace in the result body (cached separately:
   /// the same cell with and without trace are distinct cache entries).
   bool trace = false;

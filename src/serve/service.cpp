@@ -95,12 +95,14 @@ Service::Reply Service::handle_run(const Request& req) {
     // Session treats an ineligible macro run as a precondition violation;
     // for untrusted input that must be an admission error instead.
     if (run.key.policy != sim::WakePolicy::kFifo ||
-        run.delay.kind != run::DelaySpec::Kind::kUnit) {
+        run.delay.kind != sim::DelaySpec::Kind::kUnit) {
       return reject(req.id,
                     "macro engine requires the fifo wake policy and the "
                     "unit delay model");
     }
-    if (!strategy->macro_program(run.key.dimension).has_value()) {
+    // Capability only: planning at the request's dimension here would
+    // cost every hit a full plan + compile (the execution plans anyway).
+    if (!strategy->has_macro_program()) {
       return reject(req.id, "strategy \"" + run.key.strategy +
                                 "\" has no macro program");
     }
@@ -164,18 +166,8 @@ void Service::execute(const Request& req, const std::string& cache_key,
   executions_.fetch_add(1, std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
 
-  sim::RunOptions options;
-  options.delay = req.delay.make();
-  options.policy = req.key.policy;
-  options.seed = req.key.seed;
+  sim::RunOptions options = req.key.run_options(req.delay);
   options.trace = req.trace;
-  options.visibility = req.key.visibility;
-  options.semantics = req.key.semantics;
-  options.max_agent_steps = req.key.max_agent_steps;
-  options.livelock_window = req.key.livelock_window;
-  options.faults = req.key.faults;
-  options.recovery = req.key.recovery;
-  options.engine = req.key.engine;
   options.shards = req.shards != 0 ? req.shards : config_.shards;
 
   SessionConfig session_config;

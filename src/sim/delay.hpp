@@ -11,13 +11,21 @@
 //                  order-of-magnitude stalls) that, combined with the
 //                  engine's random wake policy, approximates an adversarial
 //                  scheduler in the safety property tests.
+//
+// DelaySpec is the enumerable, printable description of those three
+// models: the form sweeps, fuzz cells and hcsd requests carry, and the
+// delay axis of hcs::CellKey (via label()).
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <string_view>
 
 #include "sim/types.hpp"
 #include "util/assert.hpp"
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 
 namespace hcs::sim {
@@ -62,5 +70,38 @@ class DelayModel {
   Sampler sampler_;
   bool is_unit_ = false;
 };
+
+/// A serializable description of a DelayModel (DelayModel itself is an
+/// opaque sampler; sweeps and cells need enumerable, printable
+/// configurations).
+struct DelaySpec {
+  enum class Kind : std::uint8_t { kUnit, kUniform, kHeavyTailed };
+  Kind kind = Kind::kUnit;
+  double lo = 0.0;  ///< uniform bounds; unused otherwise
+  double hi = 0.0;
+
+  static DelaySpec unit() { return {}; }
+  static DelaySpec uniform(double lo, double hi) {
+    return {Kind::kUniform, lo, hi};
+  }
+  static DelaySpec heavy_tailed() { return {Kind::kHeavyTailed, 0.0, 0.0}; }
+
+  [[nodiscard]] DelayModel make() const;
+  /// "unit", "uniform(0.2,3)", "heavy-tailed".
+  [[nodiscard]] std::string label() const;
+};
+
+inline constexpr NameTable<DelaySpec::Kind, 3> kDelayKindNames{{
+    {DelaySpec::Kind::kUnit, "unit"},
+    {DelaySpec::Kind::kUniform, "uniform"},
+    {DelaySpec::Kind::kHeavyTailed, "heavy-tailed"},
+}};
+[[nodiscard]] constexpr const char* to_string(DelaySpec::Kind kind) {
+  return enum_name(kDelayKindNames, kind);
+}
+[[nodiscard]] constexpr bool from_string(std::string_view name,
+                                         DelaySpec::Kind* out) {
+  return enum_from_name(kDelayKindNames, name, out);
+}
 
 }  // namespace hcs::sim

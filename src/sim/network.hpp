@@ -17,9 +17,11 @@
 #pragma once
 
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/enum_names.hpp"
 
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
@@ -51,6 +53,18 @@ namespace hcs::sim {
 ///    occupied by the moving agent, so the intruder cannot cross it) is the
 ///    reading of the paper's model under which Theorems 1 and 6 hold.
 enum class MoveSemantics : std::uint8_t { kAtomicArrival, kVacateOnDeparture };
+
+inline constexpr NameTable<MoveSemantics, 2> kMoveSemanticsNames{{
+    {MoveSemantics::kAtomicArrival, "atomic-arrival"},
+    {MoveSemantics::kVacateOnDeparture, "vacate-on-departure"},
+}};
+[[nodiscard]] constexpr const char* to_string(MoveSemantics semantics) {
+  return enum_name(kMoveSemanticsNames, semantics);
+}
+[[nodiscard]] constexpr bool from_string(std::string_view name,
+                                         MoveSemantics* out) {
+  return enum_from_name(kMoveSemanticsNames, name, out);
+}
 
 class Network {
  public:

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
@@ -25,6 +26,18 @@ namespace hcs::sim {
 /// kRandom explores adversarial interleavings.
 enum class WakePolicy : std::uint8_t { kFifo, kRandom };
 
+inline constexpr NameTable<WakePolicy, 2> kWakePolicyNames{{
+    {WakePolicy::kFifo, "fifo"},
+    {WakePolicy::kRandom, "random"},
+}};
+[[nodiscard]] constexpr const char* to_string(WakePolicy policy) {
+  return enum_name(kWakePolicyNames, policy);
+}
+[[nodiscard]] constexpr bool from_string(std::string_view name,
+                                         WakePolicy* out) {
+  return enum_from_name(kWakePolicyNames, name, out);
+}
+
 /// Which executor runs a strategy (harness-level; see sim/shard.hpp
 /// and hcs::Session):
 ///  * kEvent -- the discrete-event Engine stepping the distributed
@@ -35,13 +48,17 @@ enum class WakePolicy : std::uint8_t { kFifo, kRandom };
 ///  * kAuto -- kMacro whenever the run is eligible, kEvent otherwise.
 enum class EngineKind : std::uint8_t { kEvent, kMacro, kAuto };
 
+inline constexpr NameTable<EngineKind, 3> kEngineKindNames{{
+    {EngineKind::kEvent, "event"},
+    {EngineKind::kMacro, "macro"},
+    {EngineKind::kAuto, "auto"},
+}};
 [[nodiscard]] constexpr const char* to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kEvent: return "event";
-    case EngineKind::kMacro: return "macro";
-    case EngineKind::kAuto: return "auto";
-  }
-  return "?";
+  return enum_name(kEngineKindNames, kind);
+}
+[[nodiscard]] constexpr bool from_string(std::string_view name,
+                                         EngineKind* out) {
+  return enum_from_name(kEngineKindNames, name, out);
 }
 
 struct RunOptions {

@@ -103,9 +103,7 @@ Json metrics_json(const Metrics& m) {
 Json network_json(const Network& net) {
   Json j = Json::object();
   j.set("homebase", static_cast<std::uint64_t>(net.homebase()));
-  j.set("semantics", net.move_semantics() == MoveSemantics::kAtomicArrival
-                         ? "atomic-arrival"
-                         : "vacate-on-departure");
+  j.set("semantics", to_string(net.move_semantics()));
   std::string status;
   std::string visited;
   status.reserve(net.num_nodes());

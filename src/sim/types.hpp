@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 #include "graph/graph.hpp"
+#include "util/enum_names.hpp"
 
 namespace hcs::sim {
 
@@ -47,14 +49,18 @@ enum class AbortReason : std::uint8_t {
   kFaultUnrecoverable,  ///< recovery retry budget exhausted, still dirty
 };
 
+inline constexpr NameTable<AbortReason, 4> kAbortReasonNames{{
+    {AbortReason::kNone, "none"},
+    {AbortReason::kStepCap, "step-cap"},
+    {AbortReason::kLivelock, "livelock"},
+    {AbortReason::kFaultUnrecoverable, "fault-unrecoverable"},
+}};
 [[nodiscard]] constexpr const char* to_string(AbortReason r) {
-  switch (r) {
-    case AbortReason::kNone: return "none";
-    case AbortReason::kStepCap: return "step-cap";
-    case AbortReason::kLivelock: return "livelock";
-    case AbortReason::kFaultUnrecoverable: return "fault-unrecoverable";
-  }
-  return "?";
+  return enum_name(kAbortReasonNames, r);
+}
+[[nodiscard]] constexpr bool from_string(std::string_view name,
+                                         AbortReason* out) {
+  return enum_from_name(kAbortReasonNames, name, out);
 }
 
 /// A protocol's atomic decision for one agent at its node: keep waiting,

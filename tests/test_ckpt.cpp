@@ -223,7 +223,7 @@ TEST(CkptOutcome, EnumNamesRoundTrip) {
         hcs::sim::AbortReason::kLivelock,
         hcs::sim::AbortReason::kFaultUnrecoverable}) {
     hcs::sim::AbortReason parsed;
-    ASSERT_TRUE(hcs::ckpt::abort_reason_from_string(
+    ASSERT_TRUE(hcs::sim::from_string(
         hcs::sim::to_string(reason), &parsed));
     EXPECT_EQ(parsed, reason);
   }
@@ -232,11 +232,11 @@ TEST(CkptOutcome, EnumNamesRoundTrip) {
         hcs::sim::EngineKind::kAuto}) {
     hcs::sim::EngineKind parsed;
     ASSERT_TRUE(
-        hcs::ckpt::engine_kind_from_string(hcs::sim::to_string(kind), &parsed));
+        hcs::sim::from_string(hcs::sim::to_string(kind), &parsed));
     EXPECT_EQ(parsed, kind);
   }
   hcs::sim::AbortReason unused;
-  EXPECT_FALSE(hcs::ckpt::abort_reason_from_string("no-such", &unused));
+  EXPECT_FALSE(hcs::sim::from_string("no-such", &unused));
 }
 
 // --- Session save / restore ------------------------------------------
@@ -482,11 +482,11 @@ TEST(CkptSweepIo, DegradationAndAbortReasonRoundTripThroughCsv) {
     ASSERT_EQ(row.size(), rows[0].size());
 
     hcs::sim::EngineKind engine_used;
-    ASSERT_TRUE(hcs::ckpt::engine_kind_from_string(row[8], &engine_used))
+    ASSERT_TRUE(hcs::sim::from_string(row[8], &engine_used))
         << row[8];
     EXPECT_EQ(engine_used, cell.outcome.engine_used);
     hcs::sim::AbortReason abort_reason;
-    ASSERT_TRUE(hcs::ckpt::abort_reason_from_string(row[9], &abort_reason))
+    ASSERT_TRUE(hcs::sim::from_string(row[9], &abort_reason))
         << row[9];
     EXPECT_EQ(abort_reason, cell.outcome.abort_reason);
 
@@ -523,11 +523,11 @@ TEST(CkptSweepIo, DegradationAndAbortReasonRoundTripThroughJson) {
     const Json& row = cells->items()[i];
     const hcs::core::SimOutcome& o = result.cells[i].outcome;
     hcs::sim::EngineKind engine_used;
-    ASSERT_TRUE(hcs::ckpt::engine_kind_from_string(
+    ASSERT_TRUE(hcs::sim::from_string(
         row.at("engine_used").as_string(), &engine_used));
     EXPECT_EQ(engine_used, o.engine_used);
     hcs::sim::AbortReason abort_reason;
-    ASSERT_TRUE(hcs::ckpt::abort_reason_from_string(
+    ASSERT_TRUE(hcs::sim::from_string(
         row.at("abort_reason").as_string(), &abort_reason));
     EXPECT_EQ(abort_reason, o.abort_reason);
     EXPECT_EQ(row.at("faults_injected").as_uint(),
@@ -556,7 +556,7 @@ TEST(CkptSweepIo, StepCapAbortSurvivesCsvAndJson) {
 
   const auto rows = csv_rows(hcs::run::sweep_csv(result));
   hcs::sim::AbortReason parsed;
-  ASSERT_TRUE(hcs::ckpt::abort_reason_from_string(rows[1][9], &parsed));
+  ASSERT_TRUE(hcs::sim::from_string(rows[1][9], &parsed));
   EXPECT_EQ(parsed, hcs::sim::AbortReason::kStepCap);
 
   const std::optional<Json> doc = Json::parse(hcs::run::sweep_json(result));

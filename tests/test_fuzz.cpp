@@ -9,8 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +23,10 @@
 #include "fuzz/campaign.hpp"
 #include "fuzz/minimize.hpp"
 #include "util/json.hpp"
+
+#ifndef HCS_FUZZ_BIN
+#error "HCS_FUZZ_BIN must point at the hcs_fuzz binary"
+#endif
 
 namespace hcs::fuzz {
 namespace {
@@ -117,6 +126,25 @@ TEST(FuzzCell, EngineAxisRoundTripsAndKeepsLegacyHashesStable) {
   ASSERT_TRUE(parse_cell_spec(macro.to_json(), &back, &error)) << error;
   EXPECT_EQ(back.engine, sim::EngineKind::kMacro);
   EXPECT_EQ(macro.canonical(), back.canonical());
+}
+
+TEST(FuzzCell, ParseRejectsInvalidUniformDelayBounds) {
+  // Bounds DelayModel::uniform would abort on are a parse diagnostic.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double lo;
+    double hi;
+  } bad[] = {{0.0, 1.0},  {-1.0, 2.0}, {2.0, 1.0},
+             {1.0, 1.0},  {1.0, kInf}, {std::nan(""), 2.0}};
+  for (const auto& b : bad) {
+    SCOPED_TRACE(std::to_string(b.lo) + ", " + std::to_string(b.hi));
+    CellSpec spec = known_bad_spec();
+    spec.delay = run::DelaySpec::uniform(b.lo, b.hi);
+    CellSpec back;
+    std::string error;
+    EXPECT_FALSE(parse_cell_spec(spec.to_json(), &back, &error));
+    EXPECT_NE(error.find("0 < lo < hi"), std::string::npos) << error;
+  }
 }
 
 TEST(FuzzCell, EngineOracleAgreesOnAnEligibleCell) {
@@ -352,6 +380,29 @@ TEST(FuzzArtifact, ReplaysByteIdentically) {
   EXPECT_EQ(loaded.file_name(), artifact.file_name());
   // ...and an exact failure reproduction from the parsed form alone.
   EXPECT_EQ(run_cell(loaded.cell).signature(), artifact.signature);
+}
+
+TEST(FuzzArtifact, ReplayOfInvalidDelayExitsWithADiagnostic) {
+  // A corrupt artifact is a one-line diagnostic and exit 1, not SIGABRT.
+  const fs::path dir = fresh_dir("hcs_fuzz_bad_delay");
+  for (const double lo : {2.0, 0.0}) {
+    Artifact artifact;
+    artifact.cell = known_bad_spec();
+    artifact.cell.delay = run::DelaySpec::uniform(lo, 1.0);
+    artifact.signature = "capture-failure";
+    const fs::path path = dir / artifact.file_name();
+    ASSERT_TRUE(write_json_file(artifact.to_json(), path.string()));
+
+    const fs::path err = dir / "stderr.txt";
+    const std::string command = std::string(HCS_FUZZ_BIN) +
+                                " replay --artifact " + path.string() +
+                                " >/dev/null 2>" + err.string();
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << "hcs_fuzz died on a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    EXPECT_EQ(read_file(err),
+              "hcs_fuzz replay: uniform delay needs 0 < lo < hi\n");
+  }
 }
 
 }  // namespace

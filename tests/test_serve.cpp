@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "core/cell_key.hpp"
+#include "core/strategy_registry.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -366,6 +369,49 @@ TEST(Service, AdmissionErrorsForInvalidRuns) {
     EXPECT_FALSE(reply.shutdown);
   }
   EXPECT_EQ(service.stats().executions, 0u);
+}
+
+/// CLEAN under another name, counting macro_program calls per dimension.
+class PlanCountingStrategy final : public core::Strategy {
+ public:
+  const char* name() const override { return "PLAN-COUNTING-CLEAN"; }
+  core::ExpectedCosts expected(unsigned d) const override {
+    return clean().expected(d);
+  }
+  std::uint64_t spawn_team(sim::Engine& engine, unsigned d) const override {
+    return clean().spawn_team(engine, d);
+  }
+  std::optional<sim::MacroProgram> macro_program(unsigned d) const override {
+    ++calls[d];
+    return clean().macro_program(d);
+  }
+
+  static inline std::array<std::atomic<int>, 31> calls{};
+
+ private:
+  static const core::Strategy& clean() {
+    return core::StrategyRegistry::instance().get("CLEAN");
+  }
+};
+
+TEST(Service, MacroCacheHitsNeverReplan) {
+  // Admission decides macro capability without planning at the request's
+  // dimension: repeating one macro request plans only for its execution.
+  core::StrategyRegistry::instance().add(
+      std::make_unique<PlanCountingStrategy>());
+  Service service(ServiceConfig{.threads = 1});
+  const char* line =
+      R"({"id":1,"op":"run","cell":{"strategy":"PLAN-COUNTING-CLEAN","dimension":7,"engine":"macro"}})";
+  const Service::Reply cold = service.handle(line);
+  ASSERT_NE(cold.line.find("\"ok\":true"), std::string::npos) << cold.line;
+  EXPECT_NE(cold.line.find("\"engine_used\":\"macro\""), std::string::npos);
+  for (int i = 0; i < 5; ++i) {
+    const Service::Reply warm = service.handle(line);
+    EXPECT_NE(warm.line.find("\"cached\":true"), std::string::npos);
+    EXPECT_EQ(body_of(warm.line), body_of(cold.line));
+  }
+  EXPECT_EQ(service.stats().executions, 1u);
+  EXPECT_EQ(PlanCountingStrategy::calls[7].load(), 1);
 }
 
 TEST(Service, StatsAndPingAndShutdownOps) {
