@@ -91,8 +91,8 @@ ThroughputRow measure(TimedRun&& run) {
 }
 
 ThroughputRow time_strategy(const char* strategy, unsigned d) {
-  const graph::Graph g = graph::make_hypercube(d);
   const auto t0 = std::chrono::steady_clock::now();
+  const graph::Graph g = graph::make_hypercube(d);
   sim::Network net(g, 0);
   sim::Engine::Config cfg;
   // The wave protocols legitimately take millions of waiting steps between
@@ -113,8 +113,8 @@ ThroughputRow time_strategy(const char* strategy, unsigned d) {
           std::chrono::duration<double>(t1 - t0).count()};
 }
 
-/// The macro pipeline end to end: plan generation, program compilation,
-/// and the sim::ShardedMacroEngine replay (which takes its bitplane fast
+/// The macro pipeline end to end, as a caller waits for it: graph, plan
+/// generation, program compilation, and the sim::ShardedMacroEngine replay (which takes its bitplane fast
 /// path here -- no trace, no faults, fifo/unit defaults). Sharded rows
 /// carry the shard count in the label ("clean_sync_macro_s8") as
 /// *requested*, which the engine honours on any machine (auto-resolution
@@ -122,9 +122,9 @@ ThroughputRow time_strategy(const char* strategy, unsigned d) {
 /// comparable across machines.
 ThroughputRow time_macro(const std::string& label, unsigned d,
                          std::uint32_t shards) {
-  const graph::Graph g = graph::make_hypercube(d);
   const bool vis = label.rfind("clean_visibility_macro", 0) == 0;
   const auto t0 = std::chrono::steady_clock::now();
+  const graph::Graph g = graph::make_hypercube(d);
   const sim::MacroProgram program = core::compile_macro_program(
       vis ? core::plan_clean_visibility(d) : core::plan_clean_sync(d));
   sim::Network net(g, 0);

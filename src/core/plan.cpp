@@ -66,13 +66,13 @@ struct ReplayState {
     while (!stack.empty()) {
       const graph::Vertex u = stack.back();
       stack.pop_back();
-      for (const graph::HalfEdge& he : g->neighbors(u)) {
-        if (guards[he.to] == 0 && !contaminated[he.to]) {
-          contaminated[he.to] = true;
+      graph::for_each_neighbor(*g, u, [&](graph::Vertex w) {
+        if (guards[w] == 0 && !contaminated[w]) {
+          contaminated[w] = true;
           ++contaminated_count;
-          stack.push_back(he.to);
+          stack.push_back(w);
         }
-      }
+      });
     }
   }
 };
@@ -151,13 +151,8 @@ PlanVerification verify_plan(const graph::Graph& g, const SearchPlan& plan,
     // recontaminated, and the contamination floods unguarded nodes.
     for (graph::Vertex v : vacated) {
       if (state.guards[v] > 0 || state.contaminated[v]) continue;
-      bool exposed = false;
-      for (const graph::HalfEdge& he : g.neighbors(v)) {
-        if (state.contaminated[he.to]) {
-          exposed = true;
-          break;
-        }
-      }
+      const bool exposed = graph::any_neighbor(
+          g, v, [&](graph::Vertex w) { return state.contaminated[w]; });
       if (exposed) {
         state.flood_from(v);
         fail(&PlanVerification::monotone,

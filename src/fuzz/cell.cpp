@@ -52,8 +52,8 @@ struct Executed {
 };
 
 /// Mirrors Session::run (core/session.cpp) with two fuzz-specific hooks:
-/// the topology may be stripped of its hypercube hint (the differential
-/// oracle) and fired fault decisions may be recorded (the minimizer's
+/// the topology may be rebuilt as explicit compressed adjacency (the
+/// differential oracle) and fired fault decisions may be recorded (the minimizer's
 /// concretization input).
 Executed execute(const CellSpec& spec, const core::Strategy& strategy,
                  bool implicit_topology,

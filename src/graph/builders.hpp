@@ -16,7 +16,7 @@ namespace hcs::graph {
 
 /// d-dimensional hypercube H_d: nodes are the masks 0..2^d-1, edge labels
 /// are the differing bit position (1-based), node names are the binary
-/// strings of the ids.
+/// strings of the ids. The Graph holds only d (see Graph); O(1) at any d.
 [[nodiscard]] Graph make_hypercube(unsigned d);
 
 /// Path P_n: 0 - 1 - ... - n-1.

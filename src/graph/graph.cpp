@@ -4,15 +4,18 @@
 #include <bit>
 
 #include "util/assert.hpp"
+#include "util/bitops.hpp"
 
 namespace hcs::graph {
 
 std::size_t Graph::degree(Vertex v) const {
   HCS_EXPECTS(v < num_nodes());
+  if (hc_dim_ != 0) return hc_dim_;
   return offsets_[v + 1] - offsets_[v];
 }
 
 std::span<const HalfEdge> Graph::neighbors(Vertex v) const {
+  HCS_EXPECTS(!is_hypercube() && "a hypercube stores no adjacency");
   HCS_EXPECTS(v < num_nodes());
   return {half_edges_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
 }
@@ -60,10 +63,30 @@ PortLabel Graph::label_of_edge(Vertex u, Vertex v) const {
   return 0;  // unreachable
 }
 
-const std::string& Graph::node_name(Vertex v) const {
+std::string Graph::node_name(Vertex v) const {
   HCS_EXPECTS(v < num_nodes());
-  static const std::string kEmpty;
-  return names_.empty() ? kEmpty : names_[v];
+  if (hc_dim_ != 0) return to_binary_string(v, hc_dim_);
+  return names_.empty() ? std::string() : names_[v];
+}
+
+Graph Graph::without_topology_hint() const {
+  if (hc_dim_ == 0) return *this;
+  const unsigned d = hc_dim_;
+  const std::size_t n = num_nodes();
+  GraphBuilder b(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    b.set_node_name(static_cast<Vertex>(x),
+                    to_binary_string(static_cast<NodeId>(x), d));
+    for (unsigned j = 1; j <= d; ++j) {
+      const std::size_t y = x ^ (std::size_t{1} << (j - 1));
+      if (x < y) {
+        // Label = dimension (1-based), identical at both endpoints, per the
+        // paper's lambda.
+        b.add_edge(static_cast<Vertex>(x), static_cast<Vertex>(y), j, j);
+      }
+    }
+  }
+  return b.finalize();
 }
 
 GraphBuilder::GraphBuilder(std::size_t num_nodes)
@@ -88,13 +111,6 @@ void GraphBuilder::set_node_name(Vertex v, std::string name) {
   HCS_EXPECTS(v < num_nodes_);
   if (names_.empty()) names_.resize(num_nodes_);
   names_[v] = std::move(name);
-}
-
-void GraphBuilder::mark_hypercube(unsigned d) {
-  HCS_EXPECTS(d >= 1 && d <= 30);
-  HCS_EXPECTS(num_nodes_ == (std::size_t{1} << d) &&
-              "hypercube hint requires 2^d nodes");
-  hc_dim_ = d;
 }
 
 Graph GraphBuilder::finalize() {
@@ -131,29 +147,10 @@ Graph GraphBuilder::finalize() {
     }
   }
   g.names_ = std::move(names_);
-  if (hc_dim_ != 0) {
-    // Verify the hint before trusting it: every node must have exactly the
-    // implicit adjacency (degree d, label j at both ends leading to the
-    // bit-j-flipped neighbour). One O(m) pass at build time buys O(1)
-    // adjacency queries for the rest of the run.
-    HCS_ASSERT(g.num_edges() == (std::size_t{hc_dim_} << (hc_dim_ - 1)));
-    for (std::size_t v = 0; v < num_nodes_; ++v) {
-      const auto span = g.neighbors(static_cast<Vertex>(v));
-      HCS_ASSERT(span.size() == hc_dim_);
-      for (unsigned j = 1; j <= hc_dim_; ++j) {
-        const HalfEdge& he = span[j - 1];
-        HCS_ASSERT(he.label == j && he.label_at_other_end == j &&
-                   he.to == (static_cast<Vertex>(v) ^ (Vertex{1} << (j - 1))) &&
-                   "hypercube hint does not match the built adjacency");
-      }
-    }
-    g.hc_dim_ = hc_dim_;
-  }
 
   edges_.clear();
   degrees_.assign(num_nodes_, 0);
   names_.clear();
-  hc_dim_ = 0;
   return g;
 }
 

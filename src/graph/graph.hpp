@@ -46,28 +46,34 @@ struct HalfEdge {
 
 class GraphBuilder;
 
-/// Immutable port-labelled undirected graph in compressed adjacency form.
+/// Immutable port-labelled undirected graph.
 ///
-/// Graphs built by make_hypercube carry an *implicit topology hint*
+/// A hypercube built by make_hypercube is its dimension and nothing else
 /// (hypercube_dim() != 0): node ids are the paper's d-bit strings, the
-/// neighbour across port j (1-based) is `v ^ (1 << (j-1))`, and the label
-/// is identical at both endpoints. The hint turns neighbor_via, has_edge,
-/// label_of_edge and edge_with_label into pure bit arithmetic -- no memory
-/// traffic -- which matters because the contracts in the simulation hot
-/// path (per-move adjacency checks, the visibility rule's neighbour scans,
-/// recontamination floods) run in every build type. neighbors() still
-/// serves the materialized spans, so span-based callers are unaffected,
-/// and non-hypercube graphs keep the compressed-adjacency path throughout.
+/// neighbour across port j (1-based) is `v ^ (1 << (j-1))`, the label is
+/// identical at both endpoints, and every query -- counts, degree,
+/// neighbor_via, has_edge, label_of_edge, edge_with_label, node_name --
+/// is bit arithmetic on d, so H_d costs O(1) memory at any d. Other
+/// graphs (trees, rings, grids, ...) are stored in compressed adjacency
+/// form and served from it; without_topology_hint() builds that form for
+/// a hypercube, as the explicit reference the differential tests compare
+/// the implicit one against. Code that walks adjacency uses
+/// for_each_neighbor / any_neighbor, which serve both; neighbors() exists
+/// for generic graphs only.
 class Graph {
  public:
   Graph() = default;
 
-  [[nodiscard]] std::size_t num_nodes() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
-  [[nodiscard]] std::size_t num_edges() const { return half_edges_.size() / 2; }
+  [[nodiscard]] std::size_t num_nodes() const {
+    if (hc_dim_ != 0) return std::size_t{1} << hc_dim_;
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  [[nodiscard]] std::size_t num_edges() const { return total_degree() / 2; }
 
   [[nodiscard]] std::size_t degree(Vertex v) const;
 
-  /// Incident edges of v, sorted by label.
+  /// Incident edges of v, sorted by label. Generic graphs only: a
+  /// hypercube stores no adjacency (use for_each_neighbor).
   [[nodiscard]] std::span<const HalfEdge> neighbors(Vertex v) const;
 
   /// The half-edge at v with the given label, if any (O(1) for hypercubes,
@@ -108,36 +114,40 @@ class Graph {
   /// The label at u of edge (u, v); aborts if (u, v) is not an edge.
   [[nodiscard]] PortLabel label_of_edge(Vertex u, Vertex v) const;
 
-  /// Optional human-readable node names (binary strings for hypercubes).
-  [[nodiscard]] const std::string& node_name(Vertex v) const;
+  /// Human-readable node name: the d-bit string of v for hypercubes, the
+  /// name given to GraphBuilder::set_node_name otherwise ("" if none).
+  [[nodiscard]] std::string node_name(Vertex v) const;
 
   /// Total degree summed over nodes (== 2 * num_edges()).
-  [[nodiscard]] std::size_t total_degree() const { return half_edges_.size(); }
+  [[nodiscard]] std::size_t total_degree() const {
+    if (hc_dim_ != 0) return std::size_t{hc_dim_} << hc_dim_;
+    return half_edges_.size();
+  }
 
-  /// Non-zero iff this graph is a hypercube built with the implicit
-  /// topology hint; the value is its dimension d.
+  /// Non-zero iff this graph is an implicit hypercube; the value is its
+  /// dimension d.
   [[nodiscard]] unsigned hypercube_dim() const { return hc_dim_; }
   [[nodiscard]] bool is_hypercube() const { return hc_dim_ != 0; }
 
-  /// A copy with the hypercube hint stripped: identical adjacency served
-  /// exclusively through the generic compressed path. Ablation/test hook
-  /// (the differential suite proves both paths byte-equivalent).
-  [[nodiscard]] Graph without_topology_hint() const {
-    Graph g = *this;
-    g.hc_dim_ = 0;
-    return g;
-  }
+  /// The same graph in explicit compressed adjacency form, served
+  /// exclusively through the generic path: for a hypercube, the one
+  /// explicit CSR build of H_d (O(d 2^d) memory); for any other graph, a
+  /// copy. Ablation/test hook -- the differential suite proves both
+  /// paths byte-equivalent.
+  [[nodiscard]] Graph without_topology_hint() const;
 
  private:
   friend class GraphBuilder;
+  friend Graph make_hypercube(unsigned d);  // graph/builders.hpp
 
   [[nodiscard]] Vertex neighbor_via_generic(Vertex v, PortLabel label) const;
   [[nodiscard]] bool has_edge_generic(Vertex u, Vertex v) const;
 
+  // Compressed adjacency; all three stay empty for a hypercube.
   std::vector<std::size_t> offsets_;   // size num_nodes()+1
   std::vector<HalfEdge> half_edges_;   // grouped by node, sorted by label
   std::vector<std::string> names_;     // may be empty
-  unsigned hc_dim_ = 0;                // 0 = no implicit topology
+  unsigned hc_dim_ = 0;                // 0 = generic graph
 };
 
 /// Visits the neighbours of v in port-label order, invoking fn(Vertex).
@@ -186,12 +196,6 @@ class GraphBuilder {
   /// Optional display name for a node.
   void set_node_name(Vertex v, std::string name);
 
-  /// Declares that the finished graph is the d-dimensional hypercube with
-  /// node ids as bit strings and labels = 1-based differing-bit positions.
-  /// finalize() verifies the claim and enables the implicit-topology fast
-  /// paths on the produced Graph.
-  void mark_hypercube(unsigned d);
-
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
 
   /// Validates labels and produces the immutable Graph. The builder is left
@@ -208,7 +212,6 @@ class GraphBuilder {
   std::vector<PendingEdge> edges_;
   std::vector<std::size_t> degrees_;
   std::vector<std::string> names_;
-  unsigned hc_dim_ = 0;
 };
 
 }  // namespace hcs::graph

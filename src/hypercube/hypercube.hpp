@@ -13,8 +13,9 @@
 //                           (these are x's children in the broadcast tree).
 //
 // This class is a *view*: it stores only d and computes everything with bit
-// arithmetic, so it is free to copy and trivially thread-safe. Use
-// to_graph() to materialize the explicit Graph for the simulator.
+// arithmetic, so it is free to copy and trivially thread-safe. to_graph()
+// gives the port-labelled Graph the simulator runs on, which is just as
+// implicit: it too holds only d.
 
 #pragma once
 
@@ -93,7 +94,8 @@ class Hypercube {
   /// Number of nodes in class C_i (Property 5): 1 for i = 0, else 2^(i-1).
   [[nodiscard]] std::uint64_t class_size(BitPos i) const;
 
-  /// Materializes the explicit port-labelled graph (node v == mask v).
+  /// The port-labelled Graph of H_d (node v == mask v); O(1), like this
+  /// view.
   [[nodiscard]] graph::Graph to_graph() const;
 
  private:

@@ -22,12 +22,12 @@ std::vector<bool> contamination_closure(const graph::Graph& g,
   while (!queue.empty()) {
     const graph::Vertex u = queue.front();
     queue.pop_front();
-    for (const graph::HalfEdge& he : g.neighbors(u)) {
-      if (!guarded[he.to] && !next[he.to]) {
-        next[he.to] = true;
-        queue.push_back(he.to);
+    graph::for_each_neighbor(g, u, [&](graph::Vertex w) {
+      if (!guarded[w] && !next[w]) {
+        next[w] = true;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return next;
 }
@@ -60,12 +60,8 @@ std::vector<bool> required_frontier_guards(
   std::vector<bool> frontier(n, false);
   for (graph::Vertex v = 0; v < n; ++v) {
     if (contaminated[v]) continue;
-    for (const graph::HalfEdge& he : g.neighbors(v)) {
-      if (contaminated[he.to]) {
-        frontier[v] = true;
-        break;
-      }
-    }
+    frontier[v] = graph::any_neighbor(
+        g, v, [&](graph::Vertex w) { return contaminated[w]; });
   }
   return frontier;
 }

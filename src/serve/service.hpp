@@ -108,9 +108,7 @@ class Service {
   /// One in-flight execution; waiters block on `cv` until `done`.
   struct Inflight {
     bool done = false;
-    bool failed = false;
-    std::string body;   ///< compact result JSON (valid when done && !failed)
-    std::string error;  ///< diagnostic (valid when done && failed)
+    std::string body;  ///< compact result JSON (valid once done)
     std::condition_variable cv;
   };
 

@@ -2,8 +2,8 @@
 //
 // An Agent is a reactive state machine. Whenever it is runnable the engine
 // calls step(ctx); the agent inspects its surroundings through the context
-// (current node, local whiteboard, neighbour whiteboards/status when the
-// visibility model is enabled) and returns one Action:
+// (current node, local whiteboard, neighbour status when the visibility
+// model is enabled) and returns one Action:
 //
 //   move(j)       traverse the edge with port label j (takes sampled time);
 //   move_to(v)    traverse the edge to neighbour v;
@@ -114,15 +114,6 @@ class AgentContext {
   void wb_set(const std::string& key, std::int64_t value);
   std::int64_t wb_add(const std::string& key, std::int64_t delta);
   void wb_erase(const std::string& key);
-
-  // Neighbour whiteboards (visibility model only; Section 4.2: "the agents
-  // can access the local whiteboard and the whiteboards of the neighbours").
-  [[nodiscard]] std::int64_t wb_get_at(graph::Vertex v, WbKey key,
-                                       std::int64_t fallback = 0) const;
-  void wb_set_at(graph::Vertex v, WbKey key, std::int64_t value);
-  [[nodiscard]] std::int64_t wb_get_at(graph::Vertex v, const std::string& key,
-                                       std::int64_t fallback = 0) const;
-  void wb_set_at(graph::Vertex v, const std::string& key, std::int64_t value);
 
   /// Free-form annotation into the trace.
   void note(const std::string& detail);

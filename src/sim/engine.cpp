@@ -596,31 +596,6 @@ void AgentContext::wb_erase(WbKey key) {
   engine_.wake_node(here_);
 }
 
-std::int64_t AgentContext::wb_get_at(graph::Vertex v, WbKey key,
-                                     std::int64_t fallback) const {
-  if (v != here_) {
-    HCS_EXPECTS(engine_.config().visibility &&
-                "neighbour whiteboards require the visibility model");
-    HCS_EXPECTS(engine_.network().graph().has_edge(here_, v));
-  }
-  return engine_.network().whiteboard(v).get(key, fallback);
-}
-
-void AgentContext::wb_set_at(graph::Vertex v, WbKey key, std::int64_t value) {
-  if (v != here_) {
-    HCS_EXPECTS(engine_.config().visibility &&
-                "neighbour whiteboards require the visibility model");
-    HCS_EXPECTS(engine_.network().graph().has_edge(here_, v));
-  }
-  engine_.network().whiteboard(v).set(key, value);
-  ++engine_.obs_tallies_.wb_writes;
-  if (Trace& trace = engine_.network().trace(); trace.enabled()) {
-    trace.record({now(), TraceKind::kWhiteboard, self_, v, v,
-                  wb_key_name(key)});
-  }
-  engine_.wake_node(v);
-}
-
 std::int64_t AgentContext::wb_get(const std::string& key,
                                   std::int64_t fallback) const {
   return wb_get(wb_key(key), fallback);
@@ -636,16 +611,6 @@ std::int64_t AgentContext::wb_add(const std::string& key,
 }
 
 void AgentContext::wb_erase(const std::string& key) { wb_erase(wb_key(key)); }
-
-std::int64_t AgentContext::wb_get_at(graph::Vertex v, const std::string& key,
-                                     std::int64_t fallback) const {
-  return wb_get_at(v, wb_key(key), fallback);
-}
-
-void AgentContext::wb_set_at(graph::Vertex v, const std::string& key,
-                             std::int64_t value) {
-  wb_set_at(v, wb_key(key), value);
-}
 
 void AgentContext::note(const std::string& detail) {
   ++engine_.obs_tallies_.customs;

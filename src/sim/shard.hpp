@@ -4,7 +4,7 @@
 // two paths, chosen from the input:
 //
 //  * The bitplane fast path (tracing off, fault-free, atomic-arrival
-//    hand-over, a hypercube with the implicit topology hint). It drops
+//    hand-over, an implicit hypercube graph). It drops
 //    the Network entirely: node state lives in three packed bitplanes
 //    (sim/bitplane.hpp) -- guarded / contaminated / visited -- plus a
 //    per-node guard counter, updated move-by-move with cache-resident bit

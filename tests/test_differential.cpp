@@ -92,13 +92,18 @@ void run_differential(const graph::Graph& g, std::size_t num_agents,
 
   for (int s = 0; s < steps; ++s) {
     const auto a = static_cast<sim::AgentId>(rng.below(num_agents));
-    const auto nbrs = g.neighbors(where[a]);
-    const auto& pick = nbrs[rng.below(nbrs.size())];
+    // The k-th incident edge in label order: port 1+k of a hypercube,
+    // the k-th adjacency entry of any other graph.
+    const auto k = rng.below(g.degree(where[a]));
+    const graph::Vertex to =
+        g.is_hypercube()
+            ? g.neighbor_via(where[a], static_cast<graph::PortLabel>(1 + k))
+            : g.neighbors(where[a])[k].to;
     // Drive the network exactly as the engine would (atomic arrival).
-    net.on_agent_departed(a, where[a], pick.to, s, "agent");
-    net.on_agent_arrived(a, pick.to, where[a], s + 0.5);
-    ref.move(where[a], pick.to);
-    where[a] = pick.to;
+    net.on_agent_departed(a, where[a], to, s, "agent");
+    net.on_agent_arrived(a, to, where[a], s + 0.5);
+    ref.move(where[a], to);
+    where[a] = to;
     compare(net, ref, g, s);
   }
 }

@@ -22,10 +22,8 @@ void expect_order_achieves(const graph::Graph& g,
   for (std::size_t i = 0; i < order.size(); ++i) {
     const graph::Vertex v = order[i];
     if (i > 0) {
-      bool adjacent_to_prefix = false;
-      for (const graph::HalfEdge& he : g.neighbors(v)) {
-        if ((mask >> he.to) & 1) adjacent_to_prefix = true;
-      }
+      const bool adjacent_to_prefix = graph::any_neighbor(
+          g, v, [&](graph::Vertex w) { return ((mask >> w) & 1) != 0; });
       EXPECT_TRUE(adjacent_to_prefix) << "order breaks connectivity at " << v;
     }
     mask |= std::uint64_t{1} << v;
